@@ -27,7 +27,8 @@ def main():
     max_p = max(args.max_p // (100 if args.quick else 1), 100)
     max_q = max(args.max_q // (10 if args.quick else 1), 10)
 
-    for kind, lo, hi in (("qnr", 11, max_p), ("prime-qr", 7, max_p), ("ap", 4, max_q)):
+    for kind, hi in (("qnr", max_p), ("prime-qr", max_p), ("ap", max_q)):
+        lo = nt.DEFAULT_SCAN_FLOORS[kind]
         t0 = time.time()
         s = nt.summarize(nt.scan(kind, lo, hi), kind)
         print(f"{kind} scan [{lo}, {hi}] in {time.time()-t0:.1f}s:")

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import closed_form, lower, nt, search, tables, upper
-from .precision import PrecisionContext, Unconverged
+from .precision import PrecisionContext, Unconverged, as_penalty
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -32,15 +32,6 @@ _MAX_DIGITS = 100
 
 class _CliError(ValueError):
     pass
-
-
-def _parse_penalty(s: str):
-    if s in ("inf", "oo", "infinity"):
-        return lower.INF
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise _CliError("cannot parse penalty %r: %s" % (s, e))
 
 
 def _context(ns) -> PrecisionContext:
@@ -104,8 +95,8 @@ def _upper_params(ns) -> upper.UpperParams:
     ref = tables.upper_reference()
     if key in ref:
         return ref[key][1]
-    if key is not None and Fraction(key) == 0:
-        return upper.UpperParams(penalty=Fraction(0), knots=())
+    if key is not None and as_penalty(key) == 0:
+        return upper.UpperParams(penalty=0, knots=())
     raise _CliError("no --params file and no shipped reference for penalty %r" % key)
 
 
@@ -113,10 +104,10 @@ def cmd_lower_eval(ns) -> int:
     ctx = _context(ns)
     if ns.get("A") is None:
         raise _CliError("--A is required")
-    penalty = _parse_penalty(ns["A"])
+    penalty = as_penalty(ns["A"])
     p = _lower_params(ns)
     value = lower.reward(p, penalty, ctx)
-    l1 = lower.l1_norm(p, ctx)
+    l1 = value.l1
     with ctx.workprec():
         payload = {
             "penalty": ns["A"],
@@ -148,7 +139,7 @@ def cmd_search(ns) -> int:
         raise _CliError("--problem must be lower or upper")
     if ns.get("A") is None:
         raise _CliError("--A is required")
-    penalty = _parse_penalty(ns["A"])
+    penalty = as_penalty(ns["A"])
     cfg = search.SearchConfig(
         seed=int(ns.get("seed") or 0),
         n_max=int(ns.get("N") or 8),
@@ -173,8 +164,6 @@ def cmd_search(ns) -> int:
                 "seed": cfg.seed,
             }
     else:
-        if penalty is lower.INF:
-            raise _CliError("upper search needs a finite penalty")
         params, bound = search.optimize_upper(penalty, cfg, ctx,
                                               transcript_path=ns.get("transcript"))
         payload = {

@@ -31,12 +31,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 import mpmath as mp
 
 from .precision import (
+    INF,
     ErrBounded,
     PrecisionContext,
+    as_decimal,
+    as_penalty,
     integrate_finite,
     isolate_sign_changes,
     odd_poly_eval,
@@ -53,11 +55,10 @@ __all__ = [
     "l1_norm",
     "sign_partition",
     "reward",
+    "Reward",
     "curve_samples",
     "INF",
 ]
-
-INF = mp.inf
 
 # root isolation window in u; e^u below -40 is under 1e-17, negligible at the
 # tolerances any shipped parameter set is used with
@@ -70,14 +71,6 @@ class NotInClassError(ValueError):
 
 class DegenerateError(ValueError):
     """The parameter set has (numerically) vanishing L^1 norm."""
-
-
-def _dec(x) -> Decimal:
-    if isinstance(x, Decimal):
-        return x
-    if isinstance(x, float):
-        return Decimal(repr(x))
-    return Decimal(str(x))
 
 
 @dataclass(frozen=True)
@@ -93,9 +86,9 @@ class LowerParams:
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _dec(self.a))
-        object.__setattr__(self, "c", _dec(self.c))
-        object.__setattr__(self, "b", tuple(_dec(x) for x in self.b))
+        object.__setattr__(self, "a", as_decimal(self.a))
+        object.__setattr__(self, "c", as_decimal(self.c))
+        object.__setattr__(self, "b", tuple(as_decimal(x) for x in self.b))
         if not self.a > 0:
             raise ValueError("dilation a must be positive")
         if len(self.b) < 1 or all(x == 0 for x in self.b):
@@ -269,22 +262,14 @@ def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
         )
 
 
-def _penalty_mp(penalty):
-    """Normalize a penalty given as Fraction/str/int/float/mpf or INF."""
-    if penalty is INF or penalty == mp.inf:
-        return None
-    if isinstance(penalty, str):
-        penalty = Fraction(penalty)
-    if isinstance(penalty, Fraction):
-        val = mp.mpf(penalty.numerator) / penalty.denominator
-    else:
-        val = mp.mpf(penalty)
-    if val < 0:
-        raise ValueError("penalty must be non-negative")
-    return val
+@dataclass(frozen=True)
+class Reward(ErrBounded):
+    """The reward, with the L^1 norm it was normalized by."""
+
+    l1: ErrBounded
 
 
-def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
+def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
     """The normalized reward functional of the family at ``penalty``.
 
     All three integrals are evaluated exactly per sign interval through the
@@ -293,7 +278,9 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
     ``INF`` (which requires the profile to be <= 0 on the positive axis and
     drops the penalty term).
     """
-    A = _penalty_mp(penalty)
+    A = as_penalty(penalty)
+    if A is not INF:
+        A = mp.mpf(A.numerator) / A.denominator
     with ctx.workprec():
         a, c, bs = p.mp_values()
         lam = 1 + a
@@ -343,7 +330,7 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
         if l1.value <= 10 * (l1.err + round_eps):
             raise DegenerateError("L^1 norm is numerically zero")
 
-        if A is None:
+        if A is INF:
             tol_class = max(mp.mpf(ctx.target_abs_err), round_eps)
             if pos_mass > tol_class:
                 raise NotInClassError(
@@ -356,7 +343,7 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
             num_err = (1 + A) * both_ways + abs(num) * round_eps
         value = 2 * mp.pi * num / l1.value
         err = 2 * mp.pi * (num_err / l1.value + abs(num) * l1.err / l1.value**2)
-        return ErrBounded(value, err + abs(value) * round_eps)
+        return Reward(value, err + abs(value) * round_eps, l1)
 
 
 def curve_samples(p: LowerParams, t_lo: float, t_hi: float, samples: int):

@@ -53,8 +53,9 @@ __all__ = [
 _RATIO_DPS = 30
 
 # smallest keys at which the desk ratios drop below the asymptotic
-# comparators; see the module docstring
-DEFAULT_SCAN_FLOORS = {"qnr": 11, "prime-qr": 7, "ap": 4}
+# comparators; see the module docstring.  For prime-qr the last prime up to
+# 1e6 above the comparator is 163 (least prime residue 41, ratio 1.580).
+DEFAULT_SCAN_FLOORS = {"qnr": 11, "prime-qr": 167, "ap": 4}
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -179,8 +180,6 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
     while start < hi:
         stop = min(start + block, hi)
         seg = np.ones(stop - start, dtype=bool)
-        if start == 2:
-            pass
         for p in base:
             p = int(p)
             if p * p >= stop:
@@ -276,7 +275,7 @@ def _ratio_log2(value: int, key: int):
         return mp.mpf(value) / mp.log(key) ** 2
 
 
-def scan(kind: str, lo: int, hi: int, comparator: float | None = None) -> Iterator[NtRecord]:
+def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
     """Stream NtRecords over a key range.
 
     kind "qnr"/"prime-qr": odd primes p in [lo, hi], ratio value/log^2 p.

@@ -7,7 +7,10 @@ Four primitives, all operating on mpmath scalars at a precision fixed by a
 * semi-infinite quadrature with a caller-supplied certified tail bound,
 * closed-form antiderivatives of ``u^m * exp(lam*u)``,
 * sign-change isolation for odd-power polynomials and bracketed 1-D
-  maximization.
+  maximization;
+
+plus the two normalisers every parameter type shares: penalties to exact
+fractions (or :data:`INF`) and knots or coefficients to exact decimals.
 
 Error accounting is first-order honest rather than interval arithmetic: a
 reported radius is an estimate that must survive a precision-doubling
@@ -24,11 +27,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
 
 __all__ = [
+    "INF",
+    "as_penalty",
+    "as_decimal",
     "PrecisionContext",
     "ErrBounded",
     "Unconverged",
@@ -48,6 +56,38 @@ _GL_ORDER = 24          # base panel order; error estimated against order 2x
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
 _CUTOFF_BUDGET = 400    # doublings allowed while hunting a tail cutoff
+
+
+INF = mp.inf
+
+_INF_NAMES = ("inf", "oo", "infinity")
+
+
+def as_penalty(penalty):
+    """A penalty as an exact ``Fraction``, or ``INF``.
+
+    Accepts ``INF`` (or the strings "inf", "oo", "infinity"), a Fraction, an
+    int, a float, or a rational string such as "1/3".  Callers convert the
+    result to ``mpf`` or ``float`` themselves.
+    """
+    if penalty is INF or penalty in _INF_NAMES or penalty == INF:
+        return INF
+    try:
+        pen = Fraction(penalty)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ValueError("cannot parse penalty %r: %s" % (penalty, e)) from None
+    if pen < 0:
+        raise ValueError("penalty must be non-negative")
+    return pen
+
+
+def as_decimal(x) -> Decimal:
+    """Exact decimal of a Decimal, a string, or a float (through its repr)."""
+    if isinstance(x, Decimal):
+        return x
+    if isinstance(x, float):
+        return Decimal(repr(x))
+    return Decimal(str(x))
 
 
 class Unconverged(RuntimeError):

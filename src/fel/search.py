@@ -9,7 +9,8 @@ parametrization with Nelder-Mead locals, iterating the knot count: start at
 one knot, perturb the incumbent to seed the next count, stop when two
 consecutive counts fail to improve meaningfully.
 
-Searches run on fast float evaluators; any bound that escapes this module is
+Searches run on fast float evaluators (the upper one is
+:func:`fel.upper.fast_sup`); any bound that escapes this module is
 re-evaluated and certified at full working precision first.  Everything is
 deterministic given the seed.
 """
@@ -20,15 +21,13 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import lower, upper
-from .precision import PrecisionContext
+from .precision import INF, PrecisionContext, as_penalty
 
 __all__ = [
     "SearchConfig",
@@ -50,13 +49,10 @@ class SearchConfig:
     restarts: int = 8
     local_tol: float = 1e-9
     budget: int = 100_000
-    fast_mode_digits: int = 20
 
     def __post_init__(self):
         if self.restarts < 1 or self.budget < 1:
             raise ValueError("restarts and budget must be >= 1")
-        if self.fast_mode_digits < 15:
-            raise ValueError("fast_mode_digits must be >= 15")
 
 
 @dataclass
@@ -316,49 +312,6 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
     return 2.0 * math.pi * num / l1
 
 
-def _fast_sup(A: float, knots: np.ndarray) -> float:
-    """Float estimate of the sup-norm for the upper family (search mode).
-
-    Coarse scan over a truncated window plus two local refinement stages;
-    good to ~1e-6 for candidates shaped like the incumbents.  This only
-    ranks candidates: whatever leaves the search is re-certified by the
-    full-window branch-and-bound at working precision.
-    """
-    if knots.size and (np.any(np.diff(knots) <= 0) or knots[0] <= 0 or knots[-1] > 30):
-        return 1e9
-    ks = np.concatenate([[0.0], knots])
-    cs = np.array([A if n % 2 == 0 else -1.0 for n in range(knots.size)])
-
-    def gabs(ts):
-        z = 1 - 2j * ts
-        val = 2 / z
-        w = np.pi - 2j * np.pi * ts
-        for n in range(knots.size):
-            if cs[n] != 0.0:
-                val = val - 2 * cs[n] * (np.exp(w * ks[n + 1]) - np.exp(w * ks[n])) / z
-        return np.abs(val)
-
-    C = 2.0 + 2.0 * float(np.abs(cs) @ (np.exp(np.pi * ks[1:]) + np.exp(np.pi * ks[:-1]))) if knots.size else 2.0
-    g0 = float(gabs(np.array([0.0]))[0])
-    thr = max(g0 * 0.98, 1e-6)
-    t_max = math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25
-    t_max = min(t_max, 15.0)
-    coarse = 8e-3
-    ts = np.linspace(0.0, t_max, max(int(t_max / coarse), 200) + 1)
-    v = gabs(ts)
-    best = float(v.max())
-    step = ts[1] - ts[0]
-    order = np.argsort(v)[-10:]
-    for i in order:
-        fine = np.linspace(max(ts[i] - step, 0.0), ts[i] + step, 41)
-        fv = gabs(fine)
-        j = int(np.argmax(fv))
-        best = max(best, float(fv[j]))
-        tiny = np.linspace(max(fine[j] - step / 20, 0.0), fine[j] + step / 20, 21)
-        best = max(best, float(gabs(tiny).max()))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -377,16 +330,6 @@ class _Transcript:
                 fh.write(json.dumps(row) + "\n")
 
 
-def _penalty_float(penalty):
-    if penalty is lower.INF or penalty == mp.inf:
-        return math.inf
-    if isinstance(penalty, str):
-        if penalty in ("inf", "oo", "infinity"):
-            return math.inf
-        penalty = Fraction(penalty)
-    return float(penalty)
-
-
 def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionContext | None = None,
                    x0: Sequence[float] | None = None, transcript_path=None):
     """Maximize the lower-family reward over (b, log a, c).
@@ -398,7 +341,8 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
     ctx = ctx or PrecisionContext.make(40)
-    pen_f = _penalty_float(penalty)
+    pen = as_penalty(penalty)
+    pen_f = math.inf if pen is INF else float(pen)
     rng = np.random.default_rng(cfg.seed)
     log = _Transcript(transcript_path)
 
@@ -415,8 +359,7 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
     best_x, best_v = None, -math.inf
     budget_each = max(cfg.budget // cfg.restarts, 100)
     sub = SearchConfig(seed=cfg.seed, n_max=cfg.n_max, restarts=1,
-                       local_tol=cfg.local_tol, budget=budget_each,
-                       fast_mode_digits=cfg.fast_mode_digits)
+                       local_tol=cfg.local_tol, budget=budget_each)
     starts = []
     if x0 is not None:
         starts.append(np.asarray(x0, dtype=float))
@@ -462,8 +405,8 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     Returns (UpperParams, BoundResult) certified at full precision.
     """
     ctx = ctx or PrecisionContext.make(40)
-    pen = Fraction(penalty) if not isinstance(penalty, Fraction) else penalty
-    A = float(pen)
+    empty = upper.UpperParams(penalty=penalty, knots=())  # validates the penalty
+    A = float(empty.penalty)
     rng = np.random.default_rng(cfg.seed)
     log = _Transcript(transcript_path)
     evals_left = [cfg.budget]
@@ -473,13 +416,12 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
             return 1e9
         evals_left[0] -= 1
         gaps = np.exp(np.clip(y, -18.0, 3.0))
-        return _fast_sup(A, np.cumsum(gaps))
+        return upper.fast_sup(A, np.cumsum(gaps))
 
     if A == 0.0:
-        params = upper.UpperParams(penalty=pen, knots=())
-        return params, upper.sup_norm(params, ctx)
+        return empty, upper.sup_norm(empty, ctx)
 
-    best_y, best_v = None, _fast_sup(A, np.array([]))  # empty weight: baseline 2
+    best_y, best_v = None, upper.fast_sup(A, np.array([]))  # empty weight: baseline 2
     log.record(kind="upper", n=0, value=best_v)
     prev_best = best_v
     weak_rounds = 0
@@ -528,10 +470,11 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
             break
 
     if best_y is None:
-        params = upper.UpperParams(penalty=pen, knots=())
+        params = empty
     else:
         knots = np.cumsum(np.exp(np.clip(best_y, -18.0, 3.0)))
-        params = upper.UpperParams(penalty=pen, knots=tuple(Decimal(repr(float(k))) for k in knots))
+        params = upper.UpperParams(penalty=empty.penalty,
+                                   knots=tuple(Decimal(repr(float(k))) for k in knots))
     certified = upper.sup_norm(params, ctx)
     log.record(kind="upper-final", value=float(certified.value), err=float(certified.err),
                knots=[str(k) for k in params.knots])

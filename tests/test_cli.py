@@ -1,8 +1,9 @@
 import json
 
+import mpmath as mp
 import pytest
 
-from fel import cli
+from fel import cli, lower, nt
 from fel.lower import LowerParams
 from fel.precision import Unconverged
 from fel.upper import UpperParams
@@ -14,9 +15,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_lower_eval_reference(capsys):
+def test_lower_eval_reference(capsys, monkeypatch):
+    calls = []
+    l1_norm = lower.l1_norm
+    monkeypatch.setattr(lower, "l1_norm", lambda *a: calls.append(a) or l1_norm(*a))
     code, out, _ = run(capsys, "lower-eval", "--A", "1")
     assert code == 0
+    assert len(calls) == 1  # the report reuses the norm the reward divided by
     rep = json.loads(out)
     assert float(rep["value"]) >= 1.14600 - 1e-5
     assert float(rep["l1_norm"]) == pytest.approx(1.0, abs=1e-3)
@@ -159,6 +164,16 @@ def test_nt_qnr(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["count"] == len(out_file.read_text().splitlines()) - 1
     assert float(summary["margin"]) > 0
+
+
+def test_nt_prime_qr_default_floor(capsys):
+    # 163 is the last prime up to 1e6 whose least prime residue (41) gives a
+    # ratio above the comparator; the default floor starts past it
+    code, out, _ = run(capsys, "nt", "--kind", "prime-qr", "--max-p", "100000")
+    assert code == 0
+    assert float(json.loads(out)["margin"]) > 0
+    with mp.workdps(30):
+        assert nt.least_prime_qr(163) / mp.log(163) ** 2 > nt.COMPARATORS["prime-qr"]
 
 
 def test_nt_prime_sum(capsys):

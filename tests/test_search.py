@@ -8,18 +8,16 @@ from fel import lower, tables
 from fel.search import (
     SearchConfig,
     _fast_lower_value,
-    _fast_sup,
     optimize_lower,
     optimize_upper,
     praxis_minimize,
 )
+from fel.upper import fast_sup
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(fast_mode_digits=10)
 
 
 def test_praxis_quadratic_bowl():
@@ -58,7 +56,7 @@ def test_fast_evaluators_match_certified(ctx40):
 
     for key in ("1/2", "3"):
         _, up = tables.upper_reference()[key]
-        fv = _fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
+        fv = fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
         cert = upper.sup_norm(up, ctx40)
         assert abs(fv - float(cert.value)) < 1e-6, key
     for key in ("1/4", "1"):
@@ -128,3 +126,19 @@ def test_optimize_upper_deterministic_transcripts(ctx40, tmp_path):
     vals = [json.loads(l)["value"] for l in (tmp_path / "a.jsonl").read_text().splitlines()
             if json.loads(l)["kind"] == "upper"]
     assert vals == sorted(vals, reverse=True)
+
+
+def test_optimize_upper_pinned_transcript(ctx40, tmp_path):
+    # the float search and its certification reproduce these floats exactly;
+    # any change to the float residual's order of operations shows here
+    cfg = SearchConfig(seed=9, n_max=2, restarts=2, budget=3_000)
+    path = tmp_path / "t.jsonl"
+    optimize_upper("1", cfg, ctx40, transcript_path=str(path))
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    assert rows == [
+        {"kind": "upper", "n": 0, "value": 2.0},
+        {"kind": "upper", "n": 1, "value": 1.1673535082417554, "evals_used": 126},
+        {"kind": "upper", "n": 2, "value": 1.1517581223248674, "evals_used": 582},
+        {"kind": "upper-final", "value": 1.1517581223272033, "err": 1.0002705524269854e-08,
+         "knots": ["0.1388884943375406", "0.16322174082550767"]},
+    ]
