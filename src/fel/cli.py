@@ -163,6 +163,7 @@ def cmd_search(ns) -> int:
                 "params": params.to_json(),
                 "seed": cfg.seed,
             }
+        status = EXIT_OK
     else:
         params, bound = search.optimize_upper(penalty, cfg, ctx,
                                               transcript_path=ns.get("transcript"))
@@ -173,8 +174,9 @@ def cmd_search(ns) -> int:
             "params": params.to_json(),
             "seed": cfg.seed,
         }
+        status = EXIT_OK if bound.certified else EXIT_UNCONVERGED
     _emit(ns, payload)
-    return EXIT_OK
+    return status
 
 
 def cmd_bounds(ns) -> int:

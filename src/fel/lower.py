@@ -279,9 +279,9 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
     drops the penalty term).
     """
     A = as_penalty(penalty)
-    if A is not INF:
-        A = mp.mpf(A.numerator) / A.denominator
     with ctx.workprec():
+        if A is not INF:
+            A = mp.mpf(A.numerator) / A.denominator
         a, c, bs = p.mp_values()
         lam = 1 + a
         coeffs = _odd_coeffs(bs)

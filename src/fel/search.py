@@ -234,11 +234,14 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
             acc = acc + bn * wp
         return (a / math.pi) * np.abs(acc)
 
-    head = 0.0
+    # all 23 panels as one (23, 64) node array, summed panel by panel:
+    # a mat-vec over the panels would change the rounding of the head
     edges = np.geomspace(1.0, X + 1.0, 24) - 1.0
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo_e + hi_e), 0.5 * (hi_e - lo_e)
-        head += half * float(np.dot(weights, abs_f(mid + half * nodes)))
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    F = abs_f(mids[:, None] + halves[:, None] * nodes)
+    head = 0.0
+    for half, row in zip(halves, F):
+        head += half * float(np.dot(weights, row))
 
     def tail_int(u):
         z = (u + 2j * a * X) ** -2.0

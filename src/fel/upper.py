@@ -220,14 +220,13 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     best = float(v.max())
     step = ts[1] - ts[0]
     order = np.argsort(v)[-10:]
-    for i in order:
-        fine = np.linspace(max(ts[i] - step, 0.0), ts[i] + step, 41)
-        fv = gabs(fine)
-        j = int(np.argmax(fv))
-        best = max(best, float(fv[j]))
-        tiny = np.linspace(max(fine[j] - step / 20, 0.0), fine[j] + step / 20, 21)
-        best = max(best, float(gabs(tiny).max()))
-    return best
+    # one row per peak: each stage is a single residual call
+    c = ts[order]
+    fine = np.linspace(np.maximum(c - step, 0.0), c + step, 41, axis=1)
+    fv = gabs(fine)
+    c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
+    tiny = np.linspace(np.maximum(c - step / 20, 0.0), c + step / 20, 21, axis=1)
+    return max(best, float(fv.max()), float(gabs(tiny).max()))
 
 
 def _mass_constant(up: UpperParams):

@@ -3,10 +3,10 @@ import json
 import mpmath as mp
 import pytest
 
-from fel import cli, lower, nt
+from fel import cli, lower, nt, search
 from fel.lower import LowerParams
 from fel.precision import Unconverged
-from fel.upper import UpperParams
+from fel.upper import BoundResult, UpperParams
 
 
 def run(capsys, *argv):
@@ -194,3 +194,14 @@ def test_search_cli_small(capsys, tmp_path):
     up = UpperParams.from_json(rep["params"])
     assert float(rep["value"]) < 2.0  # beats the empty weight
     assert run(capsys, "search", "--problem", "upper", "--A", "bogus")[0] == 2
+
+
+def test_search_upper_uncertified_exit_code(capsys, monkeypatch):
+    def uncertified(penalty, cfg, ctx, transcript_path=None):
+        up = UpperParams(penalty=penalty, knots=("0.5",))
+        return up, BoundResult(mp.mpf("1.2"), mp.mpf("1e-8"), False)
+
+    monkeypatch.setattr(search, "optimize_upper", uncertified)
+    code, out, _ = run(capsys, "search", "--problem", "upper", "--A", "1")
+    assert code == 3
+    assert json.loads(out)["certified"] is False

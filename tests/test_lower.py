@@ -156,6 +156,16 @@ def test_reward_reference_values(ctx40, reference):
         assert r.value >= mp.mpf(str(bound)) - mp.mpf("1e-5"), key
 
 
+def test_reward_penalty_at_working_precision(ctx40, reference):
+    # the reward is affine in the penalty, so R(1/3) = (R(0) + 2 R(1/2)) / 3
+    # to within the radii; a penalty rounded to a double misses by ~7.5e-18
+    _, p = reference["1/3"]
+    r0, r13, r12 = (reward(p, q, ctx40) for q in ("0", "1/3", "1/2"))
+    with ctx40.workprec():
+        gap = abs(r13.value - (r0.value + 2 * r12.value) / 3)
+        assert gap <= r0.err + r13.err + r12.err
+
+
 def test_reward_not_in_class(ctx40):
     # positive profile mass on the positive axis is rejected at infinite penalty
     p = LowerParams(a="1", c="1", b=("-2",))

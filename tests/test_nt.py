@@ -16,6 +16,19 @@ def test_is_prime_small():
     assert not nt.is_prime_u64(2**62 - 1)
 
 
+def test_is_prime_agrees_with_sieve():
+    sieved = set(nt.primes_upto(200_000).tolist())
+    assert all(nt.is_prime_u64(n) == (n in sieved) for n in range(200_000))
+
+
+def test_is_prime_small_witness_limit():
+    # 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert 151 * 751 * 28351 == 3_215_031_751
+    assert not nt.is_prime_u64(3_215_031_751)
+    sympy = pytest.importorskip("sympy")
+    assert nt.is_prime_u64(3_215_031_749) == sympy.isprime(3_215_031_749)
+
+
 def test_jacobi_examples():
     assert nt.jacobi(2, 7) == 1    # 3^2 = 2 mod 7
     assert nt.jacobi(1, 15) == 1

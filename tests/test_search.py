@@ -142,3 +142,27 @@ def test_optimize_upper_pinned_transcript(ctx40, tmp_path):
         {"kind": "upper-final", "value": 1.1517581223272033, "err": 1.0002705524269854e-08,
          "knots": ["0.1388884943375406", "0.16322174082550767"]},
     ]
+
+
+def test_fast_sup_pinned_references():
+    # the float sup estimate on the shipped knot sets, exact to the last bit
+    pinned = {"1/4": 1.33508788619656, "1/3": 1.2878033230802322,
+              "1/2": 1.2307978386750977, "1": 1.147307735672915,
+              "3": 1.0623929817918238}
+    for key, (_, up) in tables.upper_reference().items():
+        fv = fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
+        assert fv == pinned[key], key
+
+
+def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
+    # the float lower objective reproduces these floats exactly; any change
+    # to the rounding of its head or tail integral shows here
+    cfg = SearchConfig(seed=4, restarts=2, budget=800)
+    path = tmp_path / "t.jsonl"
+    optimize_lower("1", 3, cfg, ctx40, transcript_path=str(path))
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    assert rows == [
+        {"kind": "lower", "restart": 0, "value": 1.0792990321351725, "nevals": 400},
+        {"kind": "lower", "restart": 1, "value": 1.1144687598003362, "nevals": 400},
+        {"kind": "lower-final", "value": 1.1144687598003353, "err": 2.2290491906495564e-34},
+    ]
