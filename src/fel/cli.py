@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -44,30 +45,26 @@ def _context(ns) -> PrecisionContext:
     return PrecisionContext.make(digits)
 
 
-def _emit(ns, payload, csv_rows=None, csv_header=None):
-    """Write the report as JSON (default) or CSV to --out or stdout."""
-    fmt = ns.get("format") or "json"
+def _emit(ns, text):
+    """Write the report text to --out or stdout."""
     out = ns.get("out")
-    if fmt == "json":
-        text = json.dumps(payload, indent=2)
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise _CliError("this command has no CSV form")
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        if csv_header:
-            w.writerow(csv_header)
-        w.writerows(csv_rows)
-        text = buf.getvalue().rstrip("\n")
-    else:
-        raise _CliError("unknown format %r" % fmt)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def _load_json_file(path):
@@ -100,6 +97,16 @@ def _upper_params(ns) -> upper.UpperParams:
     raise _CliError("no --params file and no shipped reference for penalty %r" % key)
 
 
+def _lower_keys(bound, ctx) -> dict:
+    """The value, radius and certified lower bound of a lower-family reward."""
+    with ctx.workprec():
+        return {
+            "value": mp.nstr(bound.value, 25),
+            "err": mp.nstr(bound.err, 6),
+            "certified_lower_bound": mp.nstr(bound.value - bound.err, 25),
+        }
+
+
 def cmd_lower_eval(ns) -> int:
     ctx = _context(ns)
     if ns.get("A") is None:
@@ -108,18 +115,15 @@ def cmd_lower_eval(ns) -> int:
     p = _lower_params(ns)
     value = lower.reward(p, penalty, ctx)
     l1 = value.l1
-    with ctx.workprec():
-        payload = {
-            "penalty": ns["A"],
-            "value": mp.nstr(value.value, 25),
-            "err": mp.nstr(value.err, 6),
-            "certified_lower_bound": mp.nstr(value.value - value.err, 25),
-            "l1_norm": mp.nstr(l1.value, 15),
-            "l1_err": mp.nstr(l1.err, 6),
-            "params": p.to_json(),
-            "digits": ctx.digits,
-        }
-    _emit(ns, payload)
+    payload = {
+        "penalty": ns["A"],
+        **_lower_keys(value, ctx),
+        "l1_norm": mp.nstr(l1.value, 15),
+        "l1_err": mp.nstr(l1.err, 6),
+        "params": p.to_json(),
+        "digits": ctx.digits,
+    }
+    _emit(ns, _json(payload))
     return EXIT_OK
 
 
@@ -128,7 +132,7 @@ def cmd_upper_eval(ns) -> int:
     up = _upper_params(ns)
     res = upper.sup_norm(up, ctx)
     payload = {"penalty": str(up.penalty), **res.to_json(), "params": up.to_json(), "digits": ctx.digits}
-    _emit(ns, payload)
+    _emit(ns, _json(payload))
     return EXIT_OK if res.certified else EXIT_UNCONVERGED
 
 
@@ -153,16 +157,13 @@ def cmd_search(ns) -> int:
             n_terms = int(ns.get("N") or 8)
         params, bound = search.optimize_lower(penalty, n_terms, cfg, ctx,
                                               transcript_path=ns.get("transcript"))
-        with ctx.workprec():
-            payload = {
-                "problem": "lower",
-                "penalty": ns["A"],
-                "value": mp.nstr(bound.value, 25),
-                "err": mp.nstr(bound.err, 6),
-                "certified_lower_bound": mp.nstr(bound.value - bound.err, 25),
-                "params": params.to_json(),
-                "seed": cfg.seed,
-            }
+        payload = {
+            "problem": "lower",
+            "penalty": ns["A"],
+            **_lower_keys(bound, ctx),
+            "params": params.to_json(),
+            "seed": cfg.seed,
+        }
         status = EXIT_OK
     else:
         params, bound = search.optimize_upper(penalty, cfg, ctx,
@@ -175,7 +176,7 @@ def cmd_search(ns) -> int:
             "seed": cfg.seed,
         }
         status = EXIT_OK if bound.certified else EXIT_UNCONVERGED
-    _emit(ns, payload)
+    _emit(ns, _json(payload))
     return status
 
 
@@ -214,10 +215,15 @@ def cmd_bounds(ns) -> int:
                     "implied_constant": mp.nstr(closed_form.large_order_constant(ell, ctx), 10),
                     "simple_variant": mp.nstr(closed_form.large_order_constant(ell, ctx, simple=True), 10),
                 })
-    header = ["penalty", "order", "formula_lower", "table_lower", "table_upper",
-              "implied_constant", "method_limit", "simple_variant"]
-    csv_rows = [[row.get(h, "") for h in header] for row in rows]
-    _emit(ns, {"rows": rows, "digits": ctx.digits}, csv_rows=csv_rows, csv_header=header)
+    fmt = ns.get("format") or "json"
+    if fmt == "json":
+        _emit(ns, _json({"rows": rows, "digits": ctx.digits}))
+    elif fmt == "csv":
+        header = ["penalty", "order", "formula_lower", "table_lower", "table_upper",
+                  "implied_constant", "method_limit", "simple_variant"]
+        _emit(ns, _csv(header, [[row.get(h, "") for h in header] for row in rows]))
+    else:
+        raise _CliError("unknown format %r" % fmt)
     return EXIT_OK
 
 
@@ -227,7 +233,6 @@ def cmd_plot_data(ns) -> int:
     if samples < 1:
         raise _CliError("--samples must be >= 1")
     rng = ns.get("range") or []
-    out = ns.get("out")
     rows = []
     if figure == "upper":
         if ns.get("A") is None:
@@ -245,8 +250,7 @@ def cmd_plot_data(ns) -> int:
             rows.append([columns[0][i][0]] + [col[i][1] for col in columns])
     else:
         raise _CliError("--figure must be 'upper' or 'lower-family'")
-    ns["format"] = "csv"
-    _emit(ns, None, csv_rows=rows, csv_header=header)
+    _emit(ns, _csv(header, rows))
     return EXIT_OK
 
 
@@ -257,39 +261,34 @@ def cmd_nt(ns) -> int:
         lo = int(ns.get("min_p") or nt.DEFAULT_SCAN_FLOORS[kind])
         hi = int(ns.get("max_p") or 10**6)
         records = nt.scan(kind, lo, hi)
-        summary = _stream_records(records, kind, out)
     elif kind == "ap":
         lo = int(ns.get("min_q") or nt.DEFAULT_SCAN_FLOORS["ap"])
         hi = int(ns.get("max_q") or 500)
         records = nt.scan("ap", lo, hi)
-        summary = _stream_records(records, "ap", out)
     elif kind == "prime-sum":
         m = int(ns.get("m") or 10**6)
         cut = mp.log(m) / (2 * mp.pi)
         g = nt.raised_cosine_bump(0.05 * float(cut), 0.95 * float(cut))
         report = nt.prime_sum_check(m, g)
-        _emit(ns, report.to_json())
+        _emit(ns, _json(report.to_json()))
         return EXIT_OK
     else:
         raise _CliError("--kind must be qnr, prime-qr, ap, or prime-sum")
-    print(json.dumps(summary.to_json(), indent=2))
+    if out:
+        with open(out, "w") as fh:
+            summary = nt.summarize(_write_records(records, fh), kind)
+    else:
+        summary = nt.summarize(records, kind)
+    print(_json(summary.to_json()))
     return EXIT_OK
 
 
-def _stream_records(records, kind, out):
-    summary = nt.ScanSummary(comparator=nt.COMPARATORS[kind], kind=kind)
-    fh = open(out, "w") if out else None
-    try:
-        if fh:
-            fh.write("key,value,ratio\n")
-        for rec in records:
-            summary.update(rec)
-            if fh:
-                fh.write(rec.csv_row() + "\n")
-    finally:
-        if fh:
-            fh.close()
-    return summary
+def _write_records(records, fh):
+    """Pass the records through, writing each as a CSV row to ``fh``."""
+    fh.write("key,value,ratio\n")
+    for rec in records:
+        fh.write(rec.csv_row() + "\n")
+        yield rec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,10 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--digits", type=int, default=None,
-                       help="working precision in decimal digits (default: FEL_DIGITS or 40)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    def common(p, digits=True):
+        if digits:
+            p.add_argument("--digits", type=int, default=None,
+                           help="working precision in decimal digits (default: FEL_DIGITS or 40)")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
 
@@ -328,6 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="table of bounds and implied constants")
     p.add_argument("--orders", default=None, help="comma-separated character orders to include")
+    p.add_argument("--format", choices=("json", "csv"), default=None)
     common(p)
 
     p = sub.add_parser("plot-data", help="CSV curve data for the figures")
@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--range", nargs=2, metavar=("LO", "HI"), default=None)
     p.add_argument("--samples", type=int, default=None)
-    common(p)
+    common(p, digits=False)
 
     p = sub.add_parser("nt", help="number-theory scans and the prime-sum check")
     p.add_argument("--kind", choices=("qnr", "prime-qr", "ap", "prime-sum"), required=True)
@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-q", dest="min_q", type=int, default=None)
     p.add_argument("--max-q", dest="max_q", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    common(p)
+    common(p, digits=False)
 
     return ap
 

@@ -330,10 +330,10 @@ def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
                 yield NtRecord(key=(a, q), value=p, ratio=mp.mpf(p) / denom)
 
 
-def summarize(records: Iterator[NtRecord], kind: str, comparator: float | None = None) -> ScanSummary:
-    """Reduce a record stream to its summary (associative, order-free)."""
-    comp = COMPARATORS[kind] if comparator is None else comparator
-    s = ScanSummary(comparator=comp, kind=kind)
+def summarize(records: Iterator[NtRecord], kind: str) -> ScanSummary:
+    """Reduce a record stream to its summary against ``COMPARATORS[kind]``
+    (associative, order-free)."""
+    s = ScanSummary(comparator=COMPARATORS[kind], kind=kind)
     for rec in records:
         s.update(rec)
     return s
@@ -432,8 +432,9 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     ``support`` explicitly unless g carries a ``.support`` attribute).  The
     truncated side sums 2 <= n < m; the tail side sums n >= m up to the end
     of the support.  Residuals are reported normalized by
-    ``(||g||_1 + ||g'||_1) log^2 m``; ||g'||_1 is estimated by finite
-    differences unless supplied.  Also reports the Chebyshev sum psi(m)
+    ``(||g||_1 + ||g'||_1) log^2 m``; ||g'||_1 is ``g_prime_l1`` or, when
+    that is not given, ``g.dl1`` (set by :func:`raised_cosine_bump`); with
+    neither, a ValueError is raised.  Also reports the Chebyshev sum psi(m)
     against m with the sqrt(m) log^2 m window (reported, never asserted).
     """
     if m < 3:
@@ -443,6 +444,10 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     sup = support if support is not None else getattr(g, "support", None)
     if sup is None:
         raise ValueError("need the support of g")
+    if g_prime_l1 is None:
+        g_prime_l1 = getattr(g, "dl1", None)
+    if g_prime_l1 is None:
+        raise ValueError("need ||g'||_1: pass g_prime_l1 or a g carrying .dl1")
     lo_s, hi_s = float(sup[0]), float(sup[1])
     logm = math.log(m)
     if lo_s < -logm / math.pi - 1e-12 or hi_s > logm / math.pi + 1e-12:
@@ -495,13 +500,6 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     I_tail = _float_quad(integrand, max(cut, lo_s), hi_s)
 
     norm_g = _float_quad(lambda t: np.abs(np.asarray(g(t))), lo_s, hi_s)
-    if g_prime_l1 is None:
-        g_prime_l1 = getattr(g, "dl1", None)
-    if g_prime_l1 is None:
-        h = (hi_s - lo_s) / 200000
-        xs = np.linspace(lo_s, hi_s, 200001)
-        ys = np.asarray(g(xs), dtype=np.float64)
-        g_prime_l1 = float(np.abs(np.diff(ys)).sum())
 
     return PrimeSumReport(
         m=m,

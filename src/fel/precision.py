@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _GL_ORDER = 24          # base panel order; error estimated against order 2x
+_SIGN_STEPS = 4096      # uniform sign scan of isolate_sign_changes
+_MAX_COARSE = 48        # coarse bracket scan of maximize_scalar
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
 _CUTOFF_BUDGET = 400    # doublings allowed while hunting a tail cutoff
@@ -215,14 +217,14 @@ def _panel(f, lo, hi, order, dps):
     return acc * half
 
 
-def integrate_finite(f: Callable, a, b, ctx: PrecisionContext, order: int = _GL_ORDER) -> ErrBounded:
+def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
     """Adaptive panel quadrature of a continuous ``f`` on [a, b].
 
-    Each panel is estimated with Gauss-Legendre of ``order`` and ``2*order``
-    points; the difference is the panel's error estimate, and panels that
-    miss their width-proportional share of ``ctx.target_abs_err`` are
-    bisected.  Raises :class:`Unconverged` when the bisection depth or the
-    panel budget is exhausted.
+    Each panel is estimated with Gauss-Legendre of order 24 and 48 points;
+    the difference is the panel's error estimate, and panels that miss their
+    width-proportional share of ``ctx.target_abs_err`` are bisected.  Raises
+    :class:`Unconverged` when the bisection depth or the panel budget is
+    exhausted.
     """
     with ctx.workprec():
         a = mp.mpf(a)
@@ -230,7 +232,7 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext, order: int = _GL_
         if a == b:
             return ErrBounded(mp.mpf(0), mp.mpf(0))
         if a > b:
-            res = integrate_finite(f, b, a, ctx, order)
+            res = integrate_finite(f, b, a, ctx)
             return ErrBounded(-res.value, res.err)
         total_w = b - a
         target = mp.mpf(ctx.target_abs_err)
@@ -247,8 +249,8 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext, order: int = _GL_
                     "quadrature panel budget exhausted on [%s, %s]" % (a, b),
                     partial=ErrBounded(value, err),
                 )
-            coarse = _panel(f, lo, hi, order, ctx.digits)
-            fine = _panel(f, lo, hi, 2 * order, ctx.digits)
+            coarse = _panel(f, lo, hi, _GL_ORDER, ctx.digits)
+            fine = _panel(f, lo, hi, 2 * _GL_ORDER, ctx.digits)
             e = abs(fine - coarse)
             # second test: splitting cannot beat the working-precision
             # roundoff of the panel sums themselves, so stop there (the
@@ -275,7 +277,6 @@ def integrate_semi_infinite(
     direction: int,
     tail: Callable,
     ctx: PrecisionContext,
-    order: int = _GL_ORDER,
 ) -> ErrBounded:
     """Integrate ``f`` from ``a`` toward +/- infinity with a certified tail.
 
@@ -320,7 +321,7 @@ def integrate_semi_infinite(
         value = mp.mpf(0)
         err = mp.mpf(0)
         for lo, hi in pieces:
-            fin = integrate_finite(f, lo, hi, sub, order)
+            fin = integrate_finite(f, lo, hi, sub)
             value = value + fin.value
             err += fin.err
         if direction < 0:
@@ -403,11 +404,10 @@ def isolate_sign_changes(
     lo,
     hi,
     ctx: PrecisionContext,
-    steps: int = 4096,
 ) -> SignChanges:
     """Locate sign changes of an odd-power polynomial on [lo, hi].
 
-    Uniform scan at (hi-lo)/steps followed by bisection to
+    Uniform scan at (hi-lo)/4096 followed by bisection to
     ``ctx.target_abs_err``.  Grid points where the value dips to numerical
     zero without a flip are rescanned at 64x resolution; if still ambiguous
     they are flagged as ``uncertain`` (suspected even-order root) instead of
@@ -423,6 +423,7 @@ def isolate_sign_changes(
             return SignChanges((), ())
         p = lambda u: odd_poly_eval(cs, u)
         target = mp.mpf(ctx.target_abs_err)
+        steps = _SIGN_STEPS
         h = (hi - lo) / steps
         xs = [lo + h * i for i in range(steps + 1)]
         vs = [p(x) for x in xs]
@@ -487,7 +488,7 @@ def isolate_sign_changes(
         return SignChanges(tuple(dedup), tuple(uncertain))
 
 
-def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext, coarse: int = 48) -> MaxResult:
+def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext) -> MaxResult:
     """Locate a local maximum of continuous ``f`` inside [lo, hi].
 
     A coarse scan picks the best bracket, golden-section refines it, and the
@@ -501,6 +502,7 @@ def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext, coarse: int = 48
         if not lo < hi:
             raise ValueError("empty bracket")
         round_eps = mp.mpf(10) ** (-(ctx.digits - 3))
+        coarse = _MAX_COARSE
         xs = [lo + (hi - lo) * i / coarse for i in range(coarse + 1)]
         vs = [mp.mpf(f(x)) for x in xs]
         ibest = max(range(coarse + 1), key=lambda i: vs[i])

@@ -17,6 +17,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _IMPROVE_TOL = 1e-5  # "no significant improvement" threshold per knot count
+_LOCAL_TOL = 1e-9  # praxis stops after two sweeps that gain less (relative)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class SearchConfig:
     seed: int = 0
     n_max: int = 8
     restarts: int = 8
-    local_tol: float = 1e-9
     budget: int = 100_000
 
     def __post_init__(self):
@@ -131,7 +132,7 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
     update), re-orthogonalizes the set along the principal axes of the
     recent displacements (SVD) every sweep cycle, and applies a small seeded
     random kick when progress stalls.  Deterministic for a fixed seed; stops
-    on two consecutive sweeps below ``cfg.local_tol`` or on budget
+    on two consecutive sweeps below ``_LOCAL_TOL`` (relative) or on budget
     exhaustion (result flagged).
     """
     rng = np.random.default_rng(cfg.seed)
@@ -170,7 +171,7 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
                     pass
                 history = history[-n:]
             step = max(0.1 * step + 0.9 * nd, 1e-10)
-            if f_old - fx <= cfg.local_tol * (1.0 + abs(fx)):
+            if f_old - fx <= _LOCAL_TOL * (1.0 + abs(fx)):
                 stalls += 1
                 if stalls >= 2:
                     break
@@ -361,8 +362,7 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
 
     best_x, best_v = None, -math.inf
     budget_each = max(cfg.budget // cfg.restarts, 100)
-    sub = SearchConfig(seed=cfg.seed, n_max=cfg.n_max, restarts=1,
-                       local_tol=cfg.local_tol, budget=budget_each)
+    sub = dataclasses.replace(cfg, restarts=1, budget=budget_each)
     starts = []
     if x0 is not None:
         starts.append(np.asarray(x0, dtype=float))

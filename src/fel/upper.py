@@ -317,17 +317,13 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
     raise Unconverged("branch-and-bound did not reach the requested slack")
 
 
-def sup_norm(
-    up: UpperParams,
-    ctx: PrecisionContext,
-    slack: float = _DEFAULT_SLACK,
-) -> BoundResult:
+def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
     """Certified upper bound for sup over real t of |residual(t)|.
 
     The modulus is even in t (the weight is real), so only t >= 0 is
     scanned.  A closed-form decreasing majorant limits the scan window, a
     branch-and-bound grid with second-order cell certificates (from the
-    closed-form curvature bound) certifies the window to ``slack``, and
+    closed-form curvature bound) certifies the window to a slack of 1e-8, and
     the witness is re-evaluated and polished at full working precision.  The
     certificate is ``sup <= value + err``; by weak duality the same number
     bounds the extremal constant at this penalty.
@@ -339,7 +335,7 @@ def sup_norm(
         last_knot = up.mp_knots()[-1] if up.knots else mp.mpf(0)
         t_max = max(t_max, last_knot + 1)
         wt, wv, cert_sup, finest = _branch_and_bound(
-            up, 0.0, float(t_max), float(L2), slack
+            up, 0.0, float(t_max), float(L2), _DEFAULT_SLACK
         )
         # polish the witness at working precision
         half = max(finest, 1e-7)
@@ -354,7 +350,7 @@ def sup_norm(
         meta = {
             "grid_step": finest,
             "t_max": float(t_max),
-            "slack": slack,
+            "slack": _DEFAULT_SLACK,
             "witness_t": mp.nstr(polish.argmax.value, 12),
         }
         return BoundResult(value=value, err=err, certified=True, meta=meta)

@@ -166,6 +166,26 @@ def test_nt_qnr(capsys, tmp_path):
     assert float(summary["margin"]) > 0
 
 
+def test_nt_qnr_summary_is_nt_summarize(capsys):
+    code, out, _ = run(capsys, "nt", "--kind", "qnr", "--max-p", "2000")
+    assert code == 0
+    expected = nt.summarize(nt.scan("qnr", 11, 2000), "qnr").to_json()
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("nt", "--kind", "qnr", "--max-p", "100", "--digits", "50"),
+    ("lower-eval", "--A", "1", "--format", "csv"),
+    ("plot-data", "--figure", "upper", "--A", "1", "--samples", "2", "--format", "json"),
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    # only bounds has a --format, and nt and plot-data take no --digits
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_nt_prime_qr_default_floor(capsys):
     # 163 is the last prime up to 1e6 whose least prime residue (41) gives a
     # ratio above the comparator; the default floor starts past it

@@ -88,13 +88,11 @@ def test_optimize_lower_recovers_endpoint(ctx40, tmp_path):
     assert vals == sorted(vals)
 
 
-def test_optimize_lower_seeded_no_improvement(ctx40):
+def test_optimize_lower_seeded_no_improvement(seeded_lower_polish, ctx40):
     # polishing the shipped reference must not beat it by more than 1e-4
     key = "1"
     pub, p = tables.lower_reference()[key]
-    x0 = [float(x) for x in p.b] + [float(np.log(float(p.a))), float(p.c)]
-    cfg = SearchConfig(seed=2, restarts=1, budget=20_000)
-    params, bound = optimize_lower(key, len(p.b), cfg, ctx40, x0=x0)
+    params, bound = seeded_lower_polish
     base = lower.reward(p, key, ctx40)
     improvement = float(bound.value - base.value)
     assert improvement <= 1e-4
