@@ -4,8 +4,8 @@ data, and number-theory scans.
 Exit codes are stable across subcommands: 0 when the computation completed
 and is certified, 2 on domain or configuration errors, 3 when a numeric
 kernel failed to converge.  Numeric inputs are parsed from decimal/rational
-strings exactly; flag values override config-file values; FEL_DIGITS sets
-the default working precision.
+strings exactly; flag values override config-file values, whose keys must be
+options of the subcommand; FEL_DIGITS sets the default working precision.
 """
 
 from __future__ import annotations
@@ -73,6 +73,18 @@ def _load_json_file(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise _CliError("cannot read %s: %s" % (path, e))
+
+
+def _config_defaults(ns) -> dict:
+    """The --config settings; each key must be an option that the command reads."""
+    cfg = _load_json_file(ns["config"])
+    if not isinstance(cfg, dict):
+        raise _CliError("%s: expected a JSON object" % ns["config"])
+    known = set(ns) - {"command", "config"}  # the options of this command's parser
+    unread = [k for k in cfg if k.replace("-", "_") not in known]
+    if unread:
+        raise _CliError("%s: %s does not read %s" % (ns["config"], ns["command"], ", ".join(unread)))
+    return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
 def _lower_params(ns) -> lower.LowerParams:
@@ -366,12 +378,11 @@ def main(argv=None) -> int:
     ns = vars(args)
     if ns.get("config"):
         try:
-            defaults = _load_json_file(ns["config"])
+            defaults = _config_defaults(ns)
         except _CliError as e:
             print("error: %s" % e, file=sys.stderr)
             return EXIT_DOMAIN
         for k, v in defaults.items():
-            k = k.replace("-", "_")
             if ns.get(k) is None:
                 ns[k] = v
     try:

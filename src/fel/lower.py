@@ -29,8 +29,11 @@ constant is defined as a supremum over a class containing this family.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
+
 import mpmath as mp
 
 from .precision import (
@@ -122,20 +125,25 @@ class SignPartition:
     """Sign layout of the transform profile on its support.
 
     ``breakpoints`` are the t-values where the profile changes sign inside
-    the examined window, strictly increasing; ``signs`` has one entry per
+    the examined window, strictly increasing: the roots of odd
+    multiplicity, isolated exactly (roots of even multiplicity touch zero
+    without a flip and are not breakpoints).  ``signs`` has one entry per
     interval between consecutive breakpoints (window edges included) with
-    values +1/-1/0; ``uncertain`` lists t-values of suspected even-order
-    roots that could not be classified (callers must bound both ways there).
+    values +1/-1/0.
     """
 
     breakpoints: tuple
     signs: tuple
-    uncertain: tuple
 
 
 def _odd_coeffs(bs):
     """u-polynomial coefficients: coefficient of u^(2k+1) is b_(k+1)/(2k+1)!."""
     return [bn / mp.factorial(2 * k + 1) for k, bn in enumerate(bs)]
+
+
+def _exact_odd_coeffs(p: LowerParams):
+    """The coefficients of :func:`_odd_coeffs` as exact fractions of the stored decimals."""
+    return [Fraction(bn) / math.factorial(2 * k + 1) for k, bn in enumerate(p.b)]
 
 
 def spectrum(p: LowerParams, t) -> object:
@@ -240,14 +248,16 @@ def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
 def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
     """Sign layout of the profile on the examined support window.
 
-    Roots are isolated in the u variable on [-(window + |c|/a), 0] (the mass
-    beyond carries weight under e^u < 1e-17) and mapped to t = (a*u + c)/pi.
+    Roots are isolated exactly in the u variable on [-(window + |c|/a), 0]
+    (the mass beyond carries weight under e^u < 1e-17) and mapped to
+    t = (a*u + c)/pi.
     """
+    exact_lo = -(_U_WINDOW + abs(Fraction(p.c)) / Fraction(p.a))
+    changes = isolate_sign_changes(_exact_odd_coeffs(p), exact_lo, 0, ctx)
     with ctx.workprec():
         a, c, bs = p.mp_values()
         coeffs = _odd_coeffs(bs)
         u_lo = -(_U_WINDOW + abs(c) / a)
-        changes = isolate_sign_changes(coeffs, u_lo, 0, ctx)
         to_t = lambda u: (a * u + c) / mp.pi
         breaks = tuple(to_t(u) for u in changes.roots)
         edges = [u_lo] + list(changes.roots) + [mp.mpf(0)]
@@ -255,11 +265,7 @@ def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
         for x1, x2 in zip(edges[:-1], edges[1:]):
             v = odd_poly_eval(coeffs, (x1 + x2) / 2)
             signs.append(0 if v == 0 else (1 if v > 0 else -1))
-        return SignPartition(
-            breakpoints=breaks,
-            signs=tuple(signs),
-            uncertain=tuple(to_t(u) for u in changes.uncertain),
-        )
+        return SignPartition(breakpoints=breaks, signs=tuple(signs))
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,9 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
 
     All three integrals are evaluated exactly per sign interval through the
     closed-form antiderivatives; only the L^1 normalization uses quadrature.
+    The sign intervals on the positive axis come from the exact isolation
+    of :func:`fel.precision.isolate_sign_changes`, so no sign change can be
+    missed and the radius carries only quadrature and rounding error.
     ``penalty`` may be a Fraction, a rational string like "1/3", a float, or
     ``INF`` (which requires the profile to be <= 0 on the positive axis and
     drops the penalty term).
@@ -300,9 +309,10 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
 
         pos_mass = mp.mpf(0)
         neg_mass = mp.mpf(0)
-        both_ways = mp.mpf(0)  # contribution of unclassifiable slivers
         if c > 0:
-            changes = isolate_sign_changes(coeffs, u_zero, 0, ctx)
+            changes = isolate_sign_changes(
+                _exact_odd_coeffs(p), -Fraction(p.c) / Fraction(p.a), 0, ctx
+            )
             edges = [u_zero] + list(changes.roots) + [mp.mpf(0)]
             for x1, x2 in zip(edges[:-1], edges[1:]):
                 if not x2 > x1:
@@ -313,15 +323,6 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
                     pos_mass += val
                 else:
                     neg_mass += -val
-            for u in changes.uncertain:
-                # bound the sliver both ways: counted in the penalty term and
-                # the minus term so the lower bound stays valid
-                width = 2 * mp.mpf(ctx.target_abs_err)
-                local = pref * mp.fsum(
-                    abs(ck) * abs(u) ** (2 * k + 1) * mp.e ** (lam * u)
-                    for k, ck in enumerate(coeffs)
-                ) * width
-                both_ways += local
         # clip tiny negative round-off in the masses
         pos_mass = max(pos_mass, mp.mpf(0))
         neg_mass = max(neg_mass, mp.mpf(0))
@@ -336,11 +337,10 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
                 raise NotInClassError(
                     "profile has positive mass %s on the positive axis" % pos_mass
                 )
-            num = head - neg_mass - both_ways
-            num_err = both_ways + abs(num) * round_eps
+            num = head - neg_mass
         else:
-            num = head - neg_mass - A * pos_mass - (1 + A) * both_ways
-            num_err = (1 + A) * both_ways + abs(num) * round_eps
+            num = head - neg_mass - A * pos_mass
+        num_err = abs(num) * round_eps
         value = 2 * mp.pi * num / l1.value
         err = 2 * mp.pi * (num_err / l1.value + abs(num) * l1.err / l1.value**2)
         return Reward(value, err + abs(value) * round_eps, l1)

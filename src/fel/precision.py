@@ -6,7 +6,8 @@ Four primitives, all operating on mpmath scalars at a precision fixed by a
 * adaptive Gauss-Legendre quadrature on finite intervals,
 * semi-infinite quadrature with a caller-supplied certified tail bound,
 * closed-form antiderivatives of ``u^m * exp(lam*u)``,
-* sign-change isolation for odd-power polynomials and bracketed 1-D
+* exact isolation of the sign changes of odd-power polynomials (Sturm
+  sequences in rational arithmetic, no sampling) and bracketed 1-D
   maximization;
 
 plus the two normalisers every parameter type shares: penalties to exact
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 _GL_ORDER = 24          # base panel order; error estimated against order 2x
-_SIGN_STEPS = 4096      # uniform sign scan of isolate_sign_changes
 _MAX_COARSE = 48        # coarse bracket scan of maximize_scalar
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
@@ -148,25 +148,24 @@ class ErrBounded:
     value: object  # mpf, or mpc for complex integrands
     err: object    # mpf >= 0
 
+    def __post_init__(self):
+        if not mp.isfinite(self.err):
+            raise ValueError("error radius %s is not finite" % (self.err,))
+
     def __float__(self):
         return float(self.value)
-
-    def __complex__(self):
-        return complex(self.value)
 
 
 @dataclass(frozen=True)
 class SignChanges:
     """Sign-change points of an odd-power polynomial on an interval.
 
-    ``roots`` are strictly increasing points where the sign provably flips.
-    ``uncertain`` are points where the polynomial dips to numerical zero
-    without a detected flip (suspected even-order root); callers must treat
-    the sign there conservatively.
+    ``roots`` are the strictly increasing points where the sign flips: the
+    real roots of odd multiplicity, each found exactly and refined to the
+    context's error goal.
     """
 
     roots: tuple
-    uncertain: tuple
 
 
 @dataclass(frozen=True)
@@ -399,93 +398,131 @@ def _bisect_root(p, lo, hi, slo, target):
     return (lo + hi) / 2
 
 
+def _poly_rem(num, den):
+    """Remainder of polynomials given as coefficient lists, constant first."""
+    num = list(num)
+    while len(num) >= len(den):
+        f = num[-1] / den[-1]
+        for i, d in enumerate(den, len(num) - len(den)):
+            num[i] -= f * d
+        while num and num[-1] == 0:
+            num.pop()
+    return num
+
+
+def _sturm_chain(q):
+    """Sturm chain of ``q`` (ending in gcd(q, q')), as coprime integer polynomials.
+
+    Between two points where ``q`` does not vanish, the drop in sign
+    variations along the chain counts the distinct roots of ``q``, whatever
+    their multiplicity.
+    """
+    chain = [q, [k * c for k, c in enumerate(q)][1:]]
+    while r := _poly_rem(chain[-2], chain[-1]):
+        chain.append([-c for c in r])
+    out = []
+    for p in chain:
+        m = math.lcm(*(c.denominator for c in p))  # a positive multiple keeps the signs
+        ints = [int(c * m) for c in p]
+        out.append([c // math.gcd(*ints) for c in ints])
+    return out
+
+
+def _sign_at(p, x: Fraction) -> int:
+    """Exact sign of the integer polynomial ``p`` at the rational ``x``."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(p):  # acc = d^deg * p(n/d)
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _isolate(chain, hi: Fraction):
+    """Disjoint intervals (a, b) of u, one per distinct root u^2 of
+    ``chain[0]`` with u in (0, hi), by Sturm-count bisection.  ``chain[0]``
+    must not vanish at 0 or at hi^2, and vanishes at no returned end."""
+
+    def variations(u):
+        signs = [v for v in (_sign_at(p, u * u) for p in chain) if v]
+        return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+
+    out = []
+    stack = [(Fraction(0), hi, variations(Fraction(0)), variations(hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            while _sign_at(chain[0], m * m) == 0:
+                m = (a + m) / 2
+            vm = variations(m)
+            stack += [(a, m, va, vm), (m, b, vm, vb)]
+    return out
+
+
 def isolate_sign_changes(
     odd_coeffs: Sequence,
     lo,
     hi,
     ctx: PrecisionContext,
 ) -> SignChanges:
-    """Locate sign changes of an odd-power polynomial on [lo, hi].
+    """Locate the sign changes of an odd-power polynomial inside (lo, hi).
 
-    Uniform scan at (hi-lo)/4096 followed by bisection to
-    ``ctx.target_abs_err``.  Grid points where the value dips to numerical
-    zero without a flip are rescanned at 64x resolution; if still ambiguous
-    they are flagged as ``uncertain`` (suspected even-order root) instead of
-    being silently classified.
+    Exact isolation in rational arithmetic: the coefficients and the ends
+    are exact rationals (ints, Fractions, Decimals or strings), and the
+    polynomial is ``u * q(u^2)``.
+    ``u = 0`` is a sign change whenever it is interior.  The other roots
+    are isolated in ``0 < u < max(|lo|, |hi|)`` by Sturm-sequence bisection
+    on ``q(u^2)``, which counts distinct roots, so roots of every
+    multiplicity and at any separation are found.  A root is kept only when
+    ``q`` has opposite exact signs at the ends of its isolating interval,
+    i.e. when its multiplicity is odd; it then stands for ``u`` and ``-u``,
+    each kept when it lies strictly inside (lo, hi), and is bisected on
+    exact signs to ``ctx.target_abs_err``.
     """
-    with ctx.workprec():
-        cs = [mp.mpf(c) for c in odd_coeffs]
-        if all(c == 0 for c in cs):
-            raise ValueError("polynomial is identically zero")
-        lo = mp.mpf(lo)
-        hi = mp.mpf(hi)
-        if not lo < hi:
-            return SignChanges((), ())
-        p = lambda u: odd_poly_eval(cs, u)
-        target = mp.mpf(ctx.target_abs_err)
-        steps = _SIGN_STEPS
-        h = (hi - lo) / steps
-        xs = [lo + h * i for i in range(steps + 1)]
-        vs = [p(x) for x in xs]
-        scale = max(abs(v) for v in vs)
-        if scale == 0:
-            # zero on the whole grid but not identically zero: everything is suspect
-            return SignChanges((), tuple(xs))
-        tiny = scale * mp.mpf(10) ** (-(ctx.digits - 6))
-
-        roots = []
-        uncertain = []
-
-        def sgn(v):
-            if abs(v) <= tiny:
-                return 0
-            return 1 if v > 0 else -1
-
-        signs = [sgn(v) for v in vs]
-        i = 0
-        while i < steps:
-            s1, s2 = signs[i], signs[i + 1]
-            if s1 != 0 and s2 != 0:
-                if s1 != s2:
-                    roots.append(_bisect_root(p, xs[i], xs[i + 1], vs[i], target))
-                i += 1
-                continue
-            # numerical zero at a grid point: refine the neighbourhood
-            j = i + 1
-            while j <= steps and signs[j] == 0:
-                j += 1
-            at_edge = (i == 0 and signs[0] == 0) or j > steps
-            left = signs[i] if signs[i] != 0 else (signs[i - 1] if i > 0 else 0)
-            right = signs[j] if j <= steps else 0
-            seg_lo = xs[max(i - 1, 0)]
-            seg_hi = xs[min(j, steps)]
-            if left != 0 and right != 0 and left != right:
-                roots.append(_bisect_root(p, seg_lo, seg_hi, left * scale, target))
-            elif at_edge and (left != 0 or right != 0):
-                # a zero at the interval edge is not an interior sign change
-                pass
+    q = [Fraction(c) for c in odd_coeffs]
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        raise ValueError("polynomial is identically zero")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        return SignChanges(())
+    while q[0] == 0:  # factors of u^2 only raise the odd order of u = 0
+        q.pop(0)
+    roots = [Fraction(0)] if lo < 0 < hi else []
+    if len(q) > 1:
+        chain = _sturm_chain(q)
+        sign = lambda u: _sign_at(chain[0], u * u)
+        top = Fraction(2) ** math.ceil(max(abs(lo), abs(hi))).bit_length()
+        while sign(top) == 0:  # a root there lies outside (lo, hi)
+            top *= 2
+        target = Fraction(ctx.target_abs_err)
+        for a, b in _isolate(chain, top):
+            sa = sign(a)
+            if sa == sign(b):
+                continue  # even multiplicity: q touches zero without a flip
+            for cut in (abs(lo), abs(hi)):  # settle the root's side of each end
+                if a < cut < b:
+                    sc = sign(cut)
+                    if sc == 0:
+                        a = b = cut
+                    elif sc == sa:
+                        a = cut
+                    else:
+                        b = cut
+            if a == b:  # the root is exactly |lo| or |hi|
+                inside = lambda x, y: x < a < y
             else:
-                # same sign on both flanks: hunt for a hidden double flip
-                fine = 64 * max(j - i, 1)
-                fh = (seg_hi - seg_lo) / fine
-                fxs = [seg_lo + fh * k for k in range(fine + 1)]
-                fvs = [p(x) for x in fxs]
-                found = False
-                for k in range(fine):
-                    a1, a2 = fvs[k], fvs[k + 1]
-                    if a1 != 0 and a2 != 0 and (a1 > 0) != (a2 > 0):
-                        roots.append(_bisect_root(p, fxs[k], fxs[k + 1], a1, target))
-                        found = True
-                if not found:
-                    kmin = min(range(fine + 1), key=lambda k: abs(fvs[k]))
-                    uncertain.append(fxs[kmin])
-            i = j
-        roots.sort()
-        dedup = []
-        for r in roots:
-            if not dedup or r - dedup[-1] > 2 * target:
-                dedup.append(r)
-        return SignChanges(tuple(dedup), tuple(uncertain))
+                inside = lambda x, y: x <= a and b <= y
+            pos, neg = inside(lo, hi), inside(-hi, -lo)
+            if pos or neg:
+                r = a if a == b else _bisect_root(sign, a, b, sa, target)
+                roots += [r] * pos + [-r] * neg
+    with ctx.workprec():
+        return SignChanges(tuple(mp.mpf(r.numerator) / r.denominator for r in sorted(roots)))
 
 
 def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext) -> MaxResult:

@@ -90,10 +90,6 @@ class UpperParams:
                 raise ValueError("knots must be strictly increasing and positive")
             prev = k
 
-    @property
-    def n_pieces(self) -> int:
-        return len(self.knots)
-
     def coefficients(self):
         """Piece weights: penalty on even pieces, -1 on odd ones."""
         A = mp.mpf(self.penalty.numerator) / self.penalty.denominator
@@ -125,6 +121,10 @@ class BoundResult:
     err: object
     certified: bool
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not mp.isfinite(self.err):
+            raise ValueError("error radius %s is not finite" % (self.err,))
 
     def __float__(self):
         return float(self.value)
@@ -344,9 +344,13 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
         polish = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
         value = polish.value.value
         if value < wv - 1e-9:  # float witness must not beat the mp value by much
-            raise RuntimeError("witness polish lost the maximum; inconsistent state")
+            raise Unconverged("witness polish lost the maximum (float %r, polished %s)"
+                              % (wv, mp.nstr(value, 12)))
         float_margin = mp.mpf("1e-13") * _mass_constant(up)
         err = mp.mpf(cert_sup) - mp.mpf(wv) + polish.value.err + 2 * float_margin
+        if not (mp.isfinite(value) and mp.isfinite(err)):
+            raise Unconverged("sup %s with radius %s is not finite: the float grid "
+                              "left its range" % (mp.nstr(value, 12), mp.nstr(err, 6)))
         meta = {
             "grid_step": finest,
             "t_max": float(t_max),

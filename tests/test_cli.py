@@ -173,6 +173,38 @@ def test_nt_qnr_summary_is_nt_summarize(capsys):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv, cfg, unread", [
+    (("nt", "--kind", "qnr"), {"digits": 99, "format": "csv", "max-p": 100}, "digits, format"),
+    (("lower-eval",), {"A": "1", "digit": 31}, "digit"),
+])
+def test_config_keys_a_command_does_not_read_are_rejected(capsys, tmp_path, argv, cfg, unread):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(cfgf))
+    assert code == 2
+    assert out == ""
+    assert unread in err
+
+
+@pytest.mark.parametrize("t_last, reason", [
+    ("100", "witness polish lost the maximum"),
+    ("230", "not finite"),
+])
+def test_upper_eval_huge_knots_unconverged(capsys, tmp_path, t_last, reason):
+    # e^(pi T) near or past the float range: no certificate, exit 3
+    f = tmp_path / "up.json"
+    f.write_text(json.dumps({"A": "1", "T": ["0.2", t_last]}))
+    code, out, err = run(capsys, "upper-eval", "--params", str(f))
+    assert code == 3
+    assert out == ""
+    assert reason in err
+
+
+def test_bound_result_rejects_non_finite_radius():
+    with pytest.raises(ValueError):
+        BoundResult(mp.mpf("1.2"), mp.nan, True)
+
+
 @pytest.mark.parametrize("argv", [
     ("nt", "--kind", "qnr", "--max-p", "100", "--digits", "50"),
     ("lower-eval", "--A", "1", "--format", "csv"),

@@ -1,5 +1,7 @@
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -117,7 +119,6 @@ def test_sign_partition_single_sign(ctx40):
     sp = sign_partition(CANON, ctx40)
     assert sp.breakpoints == ()
     assert set(sp.signs) == {1}  # profile is positive on its support
-    assert sp.uncertain == ()
 
 
 def test_sign_partition_factored(ctx40):
@@ -164,6 +165,30 @@ def test_reward_penalty_at_working_precision(ctx40, reference):
     with ctx40.workprec():
         gap = abs(r13.value - (r0.value + 2 * r12.value) / 3)
         assert gap <= r0.err + r13.err + r12.err
+
+
+@pytest.mark.parametrize("pair", [("1", "1.00001"), ("1.3", "1.30001")])
+@pytest.mark.parametrize("penalty", ["1/2", "3"])
+def test_reward_close_root_pair_matches_exact_roots(ctx40, pair, penalty):
+    # g(u) = -u (u^2 - r1^2)(u^2 - r2^2), a = 1, c = 2.4: two sign changes
+    # 1e-5 apart on the positive axis (u in (-2.4, 0)); the certified reward
+    # must agree with the one integrated between the known roots
+    r1, r2 = (Decimal(r) for r in pair)
+    s1, s2 = r1 * r1, r2 * r2
+    p = LowerParams(a="1", c="2.4", b=(-(s1 * s2), 6 * (s1 + s2), Decimal(-120)))
+    res = reward(p, penalty, ctx40)
+    with mp.workdps(60):
+        R1, R2 = mp.mpf(str(s1)), mp.mpf(str(s2))
+        A = mp.mpf(Fraction(penalty).numerator) / Fraction(penalty).denominator
+        f = lambda u: -u * (u * u - R1) * (u * u - R2) * mp.e ** (2 * u)
+        edges = [mp.mpf("-2.4"), -mp.mpf(str(r2)), -mp.mpf(str(r1)), mp.mpf(0)]
+        num = mp.quad(f, [-mp.inf, edges[0]])
+        for x1, x2 in zip(edges[:-1], edges[1:]):
+            mass = mp.quad(f, [x1, x2])
+            num -= -mass if f((x1 + x2) / 2) < 0 else A * mass
+        pref = mp.e ** mp.mpf("2.4") / mp.pi  # (a / pi) e^c
+        exact = 2 * mp.pi * pref * num / res.l1.value
+        assert abs(res.value - exact) <= res.err
 
 
 def test_reward_not_in_class(ctx40):

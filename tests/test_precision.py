@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from fel.precision import (
+    ErrBounded,
     PrecisionContext,
     Unconverged,
     integrate_finite,
@@ -131,7 +135,6 @@ def test_precision_doubling_stability(ctx40):
 def test_isolate_sign_changes_linear(ctx40):
     sc = isolate_sign_changes([1], -1, 1, ctx40)
     assert len(sc.roots) == 1 and abs(sc.roots[0]) < 1e-29
-    assert not sc.uncertain
 
 
 def test_isolate_sign_changes_cubic(ctx40):
@@ -145,6 +148,65 @@ def test_isolate_sign_changes_cubic(ctx40):
 def test_isolate_sign_changes_rejects_zero_poly(ctx40):
     with pytest.raises(ValueError):
         isolate_sign_changes([0, 0], -1, 1, ctx40)
+
+
+@st.composite
+def planted_odd_polys(draw):
+    """Coefficients of q for u * q(u^2), with ends (lo, hi).
+
+    q has planted roots v = r^2 of multiplicity 1 to 3, each optionally with
+    a partner 1e-5 to 1e-2 further out in u, a random quadratic factor
+    (real or complex roots), and a power of v (b_1 = 0) when drawn.
+    """
+    v = sympy.Symbol("v")
+    q = sympy.Integer(draw(st.integers(1, 50)) * draw(st.sampled_from([-1, 1])))
+    for _ in range(draw(st.integers(1, 3))):
+        r = sympy.Rational(draw(st.integers(1, 30_000)), 10_000)
+        q *= (v - r**2) ** draw(st.integers(1, 3))
+        gap = draw(st.sampled_from([None, 1, 10, 1000]))
+        if gap:
+            q *= (v - (r + sympy.Rational(gap, 100_000)) ** 2) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        q *= v**2 + sympy.Rational(draw(st.integers(-90, 90)), 10) * v + draw(st.integers(-9, 9))
+    q *= v ** draw(st.integers(0, 2))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(q, v).all_coeffs())]
+    lo, hi = sorted(draw(st.lists(st.integers(-35_000, 35_000), min_size=2, max_size=2, unique=True)))
+    return coeffs, Fraction(lo, 10_000), Fraction(hi, 10_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_odd_polys())
+def test_isolate_sign_changes_matches_sympy(ctx40, case):
+    # the sign changes are the real roots of odd multiplicity strictly inside
+    # (lo, hi), counted and located exactly by sympy
+    coeffs, lo, hi = case
+    u = sympy.Symbol("u")
+    poly = sympy.Poly(u * sum(sympy.Rational(c.numerator, c.denominator) * u ** (2 * k)
+                              for k, c in enumerate(coeffs)), u)
+    lo_s, hi_s = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+    expect = [r for r, m in sympy.real_roots(poly, multiple=False)
+              if m % 2 and lo_s < r < hi_s]
+    sc = isolate_sign_changes(coeffs, lo, hi, ctx40)
+    assert len(sc.roots) == len(expect), (sc.roots, expect)
+    with ctx40.workprec():
+        for got, r in zip(sc.roots, expect):
+            assert abs(got - mp.mpf(str(sympy.N(r, 50)))) < 1e-28, (got, r)
+
+
+def test_isolate_sign_changes_close_pair_inside_one_old_step(ctx40):
+    # -u (u^2 - 1)(u^2 - 1.00001^2): two flips 1e-5 apart on (-2.4, 0)
+    r2 = Fraction("1.00001") ** 2
+    sc = isolate_sign_changes([-r2, 1 + r2, -1], Fraction("-2.4"), 0, ctx40)
+    with ctx40.workprec():
+        assert len(sc.roots) == 2
+        assert abs(sc.roots[0] + mp.mpf("1.00001")) < 1e-29
+        assert abs(sc.roots[1] + 1) < 1e-29
+
+
+def test_err_bounded_rejects_non_finite_radius():
+    for bad in (mp.nan, mp.inf, float("nan")):
+        with pytest.raises(ValueError):
+            ErrBounded(mp.mpf(1), bad)
 
 
 def test_sign_correctness_sampling(ctx40):
