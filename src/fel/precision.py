@@ -444,7 +444,8 @@ def _isolate(chain, hi: Fraction):
     must not vanish at 0 or at hi^2, and vanishes at no returned end."""
 
     def variations(u):
-        signs = [v for v in (_sign_at(p, u * u) for p in chain) if v]
+        v = u * u
+        signs = [s for s in (_sign_at(p, v) for p in chain) if s]
         return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
 
     out = []
@@ -472,11 +473,11 @@ def isolate_sign_changes(
 
     Exact isolation in rational arithmetic: the coefficients and the ends
     are exact rationals (ints, Fractions, Decimals or strings), and the
-    polynomial is ``u * q(u^2)``.
-    ``u = 0`` is a sign change whenever it is interior.  The other roots
-    are isolated in ``0 < u < max(|lo|, |hi|)`` by Sturm-sequence bisection
-    on ``q(u^2)``, which counts distinct roots, so roots of every
-    multiplicity and at any separation are found.  A root is kept only when
+    polynomial is ``u * q(u^2)``.  ``u = 0`` is a sign change whenever it
+    is interior.  The other roots are isolated in
+    ``0 < u < max(|lo|, |hi|)`` by Sturm-sequence bisection on ``q(u^2)``,
+    which counts distinct roots, so roots of every multiplicity and at any
+    separation are found.  A root is kept only when
     ``q`` has opposite exact signs at the ends of its isolating interval,
     i.e. when its multiplicity is odd; it then stands for ``u`` and ``-u``,
     each kept when it lies strictly inside (lo, hi), and is bisected on
