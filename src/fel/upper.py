@@ -63,7 +63,7 @@ __all__ = [
     "curve_samples",
 ]
 
-_DEFAULT_GRID_STEP = 1e-4   # initial certification grid
+_DEFAULT_GRID_STEP = 1e-2   # initial branch-and-bound cell width; refinement sets the final one
 _DEFAULT_SLACK = 1e-8       # certification radius goal of the grid stage
 _SPLIT = 8                  # branch-and-bound cell split factor
 _MAX_ROUNDS = 40
@@ -152,13 +152,22 @@ def segment_transform(coef, lo, hi, t):
 
 
 def residual(up: UpperParams, t):
-    """The residual transform at real ``t`` (complex value)."""
+    """The residual transform at real ``t`` (complex value).
+
+    Each ``e^{(pi - 2 pi i t) T_n}`` is computed once, as in :func:`residual_np`;
+    the terms are :func:`segment_transform`'s, bit for bit.
+    """
     t = mp.mpf(t)
-    val = 2 / (1 - 2j * t)
+    z = mp.pi - 2j * mp.pi * t
+    d = 1 - 2j * t
+    val = 2 / d
     ks = [mp.mpf(0)] + up.mp_knots()
+    e0 = mp.e ** (z * ks[0])
     for n, cn in enumerate(up.coefficients()):
+        e1 = mp.e ** (z * ks[n + 1])
         if cn != 0:
-            val -= segment_transform(cn, ks[n], ks[n + 1], t)
+            val -= 2 * cn * (e1 - e0) / d
+        e0 = e1
     return val
 
 
@@ -275,13 +284,13 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
     by the complex Taylor bound.  Cells whose certificate stays above the
     retention level (running witness + slack, or ``target`` when given) are
     split; the rest are discarded.  Returns (witness_t, witness_value,
-    certified_sup_bound, finest_cell_width).  ``stop_above`` returns early
-    once a sample exceeds it (used by the below-threshold certifier).
+    certified_sup_bound, finest_cell_width, midpoints_evaluated); ``stop_above``
+    returns early once a sample exceeds it (used by the below-threshold certifier).
     """
     A, knots = up.penalty, up.knots
     if t_hi <= t_lo:
         v = float(abs(residual_np(A, knots, np.array([t_lo]))[0]))
-        return t_lo, v, v, 0.0
+        return t_lo, v, v, 0.0, 0
     n0 = min(max(int((t_hi - t_lo) / _DEFAULT_GRID_STEP), 64), 400_000)
     h = (t_hi - t_lo) / (2 * n0)
     mids = np.linspace(t_lo + h, t_hi - h, n0)
@@ -298,12 +307,12 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
             witness_v = float(absg[i])
             witness_t = float(mids[i])
         if stop_above is not None and witness_v > stop_above:
-            return witness_t, witness_v, witness_v, finest
+            return witness_t, witness_v, witness_v, finest, evals
         bound = np.maximum(np.abs(g - gd * h), np.abs(g + gd * h)) + 0.5 * L2 * h * h
         level = (witness_v + slack) if target is None else target
         keep = bound > level
         if not keep.any():
-            return witness_t, witness_v, level, finest
+            return witness_t, witness_v, level, finest, evals
         mids = mids[keep]
         if evals + mids.size * _SPLIT > _CELL_BUDGET:
             raise Unconverged("branch-and-bound cell budget exhausted")
@@ -325,8 +334,12 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
     branch-and-bound grid with second-order cell certificates (from the
     closed-form curvature bound) certifies the window to a slack of 1e-8, and
     the witness is re-evaluated and polished at full working precision.  The
-    certificate is ``sup <= value + err``; by weak duality the same number
-    bounds the extremal constant at this penalty.
+    grid starts at 1e-2 cells and splits only the cells whose certificate
+    exceeds the witness plus the slack, so the starting width sets the work,
+    not the certificate.  The certificate is ``sup <= value + err``; by weak
+    duality the same number bounds the extremal constant at this penalty.
+    ``meta`` reports the finest cell width (``grid_step``) and the number of
+    cell midpoints evaluated (``cells``).
     """
     with ctx.workprec():
         L2 = _curvature_bound(up)
@@ -334,7 +347,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
         t_max = _tail_cut(up, g0 * (1 - mp.mpf("1e-6")))
         last_knot = up.mp_knots()[-1] if up.knots else mp.mpf(0)
         t_max = max(t_max, last_knot + 1)
-        wt, wv, cert_sup, finest = _branch_and_bound(
+        wt, wv, cert_sup, finest, cells = _branch_and_bound(
             up, 0.0, float(t_max), float(L2), _DEFAULT_SLACK
         )
         # polish the witness at working precision
@@ -353,6 +366,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
                               "left its range" % (mp.nstr(value, 12), mp.nstr(err, 6)))
         meta = {
             "grid_step": finest,
+            "cells": cells,
             "t_max": float(t_max),
             "slack": _DEFAULT_SLACK,
             "witness_t": mp.nstr(polish.argmax.value, 12),
@@ -375,7 +389,7 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
             return True, meta
         margin = float(threshold) * 1e-6
         try:
-            wt, wv, cert, finest = _branch_and_bound(
+            wt, wv, cert, _, _ = _branch_and_bound(
                 up, float(t_lo), float(t_hi), float(L2), margin,
                 stop_above=float(threshold) - margin,
                 target=float(threshold) - margin,

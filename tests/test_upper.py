@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fel import tables
-from fel.precision import integrate_finite, integrate_semi_infinite
+from fel.precision import PrecisionContext, integrate_finite, integrate_semi_infinite
 from fel.upper import (
     UpperParams,
+    _curvature_bound,
     certify_below,
     curve_samples,
     local_maxima,
@@ -176,8 +177,67 @@ def test_sup_norm_reference_values(ctx40, reference, certified):
         assert abs(r.value - mp.mpf(str(bound))) < 1e-5, key
 
 
+# sup_norm at 40 digits: the value and err that ``fel upper-eval --A k
+# --digits 40`` prints (``BoundResult.to_json``, whose value passes through a
+# 53-bit mpf), then the value to 25 digits at working precision
+PINNED_UPPER = {
+    "1/4": ("1.335087886196560935658795", "1.0010324e-8", "1.335087886196560875153017"),
+    "1/3": ("1.287803323080233042219334", "1.0007114e-8", "1.287803323080232987541055"),
+    "1/2": ("1.230797838680213640571992", "1.0007423e-8", "1.230797838680213591977022"),
+    "1": ("1.147307735672914219549057", "1.001171e-8", "1.147307735672914145306888"),
+    "3": ("1.062392981791822066384157", "1.0017046e-8", "1.062392981791822085227474"),
+}
+
+
+def test_sup_norm_pinned_digits(ctx40, certified):
+    for key, (printed, err, value) in PINNED_UPPER.items():
+        r = certified[key]
+        j = r.to_json()
+        assert (j["value"], j["err"]) == (printed, err), key
+        with ctx40.workprec():
+            assert mp.nstr(r.value, 25) == value, key
+        assert r.meta["cells"] > 0, key
+
+
+def test_residual_equals_segment_sum(ctx40, reference):
+    # the shared knot exponentials change no bit of the piecewise sum
+    rng = random.Random(17)
+    with ctx40.workprec():
+        for _, up in reference.values():
+            ks = [0] + up.mp_knots()
+            for _ in range(8):
+                t = mp.mpf(repr(rng.uniform(-8, 8)))
+                want = 2 / (1 - 2j * t)
+                for n, cn in enumerate(up.coefficients()):
+                    want -= segment_transform(cn, ks[n], ks[n + 1], t)
+                assert residual(up, t) == want
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.sampled_from(sorted(tables.upper_reference())),
+    st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=5, unique=True).map(sorted),
+)
+def test_sup_norm_sound_random_knots(A, knots):
+    # the certified sup against the peak of a dense float grid over the window,
+    # re-evaluated in mpmath, on knot sets unlike the references.  The grid
+    # peak may sit half a step from the true maximum, where |residual| is
+    # lower by at most curvature * step^2 / 8.
+    up = UpperParams(penalty=A, knots=tuple(repr(k) for k in knots))
+    ctx = PrecisionContext.make(30)
+    r = sup_norm(up, ctx)
+    ts = np.linspace(0.0, r.meta["t_max"], 200_001)
+    t_peak = ts[int(np.argmax(np.abs(residual_np(up.penalty, up.knots, ts))))]
+    with ctx.workprec():
+        peak = abs(residual(up, t_peak))
+        miss = _curvature_bound(up) * (ts[1] - ts[0]) ** 2 / 8
+        assert peak <= r.value + r.err
+        assert r.value <= peak + r.err + miss
+
+
 def test_sup_norm_certificate_sound(ctx40, reference, certified):
-    # a grid 10x finer than the certificate's finest cell never beats value+err
+    # a 2 000 001-point grid over [0, t_max] (step 9.7e-6 at 1/4, 1.28e-5 at 1)
+    # never beats value+err
     for key in ("1/4", "1"):
         _, up = reference[key]
         r = certified[key]
