@@ -264,19 +264,23 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
         return -1e9
 
     lam = 1.0 + a
+    lam_pows = [lam ** (j + 1) for j in range(2 * N)]
+    powers = {}  # u -> (e^(lam u), [u^0, ..., u^(2N-1)]), shared by every term
 
     def pexp_int(mdeg, u1, u2):
         # definite integral of u^mdeg e^(lam u); u1 may be -inf (lam > 0)
         def anti(u):
+            if u not in powers:
+                powers[u] = (math.exp(lam * u), [u ** e for e in range(2 * N)])
+            eu, upow = powers[u]
             acc, falling, sign = 0.0, 1.0, 1.0
             for k in range(mdeg + 1):
-                acc += sign * falling * u ** (mdeg - k) / lam ** (k + 1)
+                acc += sign * falling * upow[mdeg - k] / lam_pows[k]
                 falling *= mdeg - k
                 sign = -sign
-            return math.exp(lam * u) * acc
+            return eu * acc
 
-        lo_v = 0.0 if u1 == -math.inf else anti(u1)
-        return anti(u2) - lo_v
+        return anti(u2) - (0.0 if u1 == -math.inf else anti(u1))
 
     pref = (a / math.pi) * math.exp(c)
     u_zero = -c / a

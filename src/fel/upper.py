@@ -68,6 +68,7 @@ _DEFAULT_SLACK = 1e-8       # certification radius goal of the grid stage
 _SPLIT = 8                  # branch-and-bound cell split factor
 _MAX_ROUNDS = 40
 _CELL_BUDGET = 4_000_000
+_TWO_PI_I, _MINUS_TWO_PI_I = 2j * np.pi, -2j * np.pi
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class BoundResult:
     def to_json(self) -> dict:
         meta = {k: (str(v) if isinstance(v, (mp.mpf, Decimal)) else v) for k, v in self.meta.items()}
         return {
-            "value": mp.nstr(mp.mpf(self.value), 25),
+            "value": mp.nstr(self.value, 25),  # at the value's own precision
             "err": mp.nstr(mp.mpf(self.err), 8),
             "certified": self.certified,
             "meta": meta,
@@ -175,29 +176,37 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     """The residual at the float array ``ts`` in float64, for penalty ``A``.
 
     ``knots`` are the knots ``T_1 < ... < T_N`` (floats, or anything
-    ``float`` accepts).  Each ``e^{(pi - 2 pi i t) T_n}`` is computed once.
-    With ``deriv`` the result is the pair (residual, d/dt residual).
+    ``float`` accepts).  Each ``e^{(pi - 2 pi i t) T_n}`` is computed once
+    (1 for ``T_0 = 0``).  With ``deriv`` the result is (residual, d/dt residual).
     """
-    ks = [0.0] + [float(k) for k in knots]
     A = float(A)
     z = 1 - 2j * ts
-    w = np.pi - 2j * np.pi * ts
+    w = np.pi - _TWO_PI_I * ts
     val = 2 / z
     if deriv:
         z2 = z * z
         der = 4j / z2
-    e0 = np.exp(w * ks[0])
-    for n in range(len(ks) - 1):
-        e1 = np.exp(w * ks[n + 1])
+    e0, k0 = 1.0, 0.0
+    for n, k in enumerate(knots):
+        k = float(k)
+        e1 = np.exp(w * k)
         cn = A if n % 2 == 0 else -1.0
         if cn != 0.0:
             val = val - 2 * cn * (e1 - e0) / z
             if deriv:
                 der = der - 2 * cn * (
-                    (-2j * np.pi) * (ks[n + 1] * e1 - ks[n] * e0) / z + 2j * (e1 - e0) / z2
+                    _MINUS_TWO_PI_I * (k * e1 - k0 * e0) / z + 2j * (e1 - e0) / z2
                 )
-        e0 = e1
+        e0, k0 = e1, k
     return (val, der) if deriv else val
+
+
+def _grid(lo, hi, num: int):
+    # np.linspace(lo, hi, num, axis=-1) bit for bit, without its overhead; every caller's
+    # hi - lo is a normal positive float, so linspace's zero-step branch never applies
+    y = np.multiply.outer(np.arange(num, dtype=float), (hi - lo) / (num - 1)) + lo
+    y[-1] = hi
+    return y.T
 
 
 def fast_sup(A: float, knots: np.ndarray) -> float:
@@ -208,7 +217,7 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     like the incumbents.  This only ranks candidates: whatever leaves the
     search is re-certified by :func:`sup_norm` over the full window.  Knot
     vectors that are not increasing and positive, or that end past 30, get
-    1e9.
+    1e9.  Each stage is one :func:`residual_np` call on a :func:`_grid`.
     """
     if knots.size and (np.any(np.diff(knots) <= 0) or knots[0] <= 0 or knots[-1] > 30):
         return 1e9
@@ -221,21 +230,17 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     C = 2.0 + 2.0 * float(np.abs(cs) @ (np.exp(np.pi * ks[1:]) + np.exp(np.pi * ks[:-1]))) if knots.size else 2.0
     g0 = float(gabs(np.array([0.0]))[0])
     thr = max(g0 * 0.98, 1e-6)
-    t_max = math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25
-    t_max = min(t_max, 15.0)
-    coarse = 8e-3
-    ts = np.linspace(0.0, t_max, max(int(t_max / coarse), 200) + 1)
+    t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
+    ts = _grid(0.0, t_max, max(int(t_max / 8e-3), 200) + 1)  # coarse step about 8e-3
     v = gabs(ts)
-    best = float(v.max())
     step = ts[1] - ts[0]
-    order = np.argsort(v)[-10:]
-    # one row per peak: each stage is a single residual call
-    c = ts[order]
-    fine = np.linspace(np.maximum(c - step, 0.0), c + step, 41, axis=1)
+    # one row per peak, unordered: every stage takes a max over all its rows
+    c = ts[np.argpartition(v, -10)[-10:]]
+    fine = _grid(np.maximum(c - step, 0.0), c + step, 41)
     fv = gabs(fine)
     c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
-    tiny = np.linspace(np.maximum(c - step / 20, 0.0), c + step / 20, 21, axis=1)
-    return max(best, float(fv.max()), float(gabs(tiny).max()))
+    tiny = _grid(np.maximum(c - step / 20, 0.0), c + step / 20, 21)
+    return max(float(v.max()), float(fv.max()), float(gabs(tiny).max()))
 
 
 def _mass_constant(up: UpperParams):

@@ -152,6 +152,29 @@ def test_fast_sup_pinned_references():
         assert fv == pinned[key], key
 
 
+def test_fast_sup_pinned_random_knots():
+    # seeded random knot sets (1-7 knots, gaps e^U(-6, 0.8), penalties 1/4
+    # to 3): the float sup estimate is exact to the last bit
+    pinned = [13457.231420745098, 1.3947165793720493, 14.71210424210401,
+              4.059795036249842, 40.52617046206602, 2.1472896193707074,
+              2.035894784255792, 1.4105578804502823, 17246.030806774703,
+              1047.5186705331432, 3.5707127236684224, 5.3228416489344585]
+    rng = np.random.default_rng(8)
+    for want in pinned:
+        A = float(rng.choice([0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0]))
+        knots = np.cumsum(np.exp(rng.uniform(-6.0, 0.8, int(rng.integers(1, 8)))))
+        assert fast_sup(A, knots) == want, (A, knots)
+
+
+def test_fast_sup_invalid_knots():
+    # no knots is the bare exponential, sup 2 at t = 0; knot vectors that
+    # are non-increasing, start at 0 or end past 30 are penalised
+    assert fast_sup(1.0, np.array([])) == 2.0
+    for knots in ([0.5, 0.5], [0.5, 0.4], [0.0, 0.5], [-0.1, 0.5], [0.5, 30.5]):
+        assert fast_sup(1.0, np.array(knots)) == 1e9, knots
+    assert fast_sup(1.0, np.array([0.5, 30.0])) != 1e9
+
+
 def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
     # the float lower objective reproduces these floats exactly; any change
     # to the rounding of its head or tail integral shows here

@@ -11,6 +11,7 @@ from fel.precision import PrecisionContext, integrate_finite, integrate_semi_inf
 from fel.upper import (
     UpperParams,
     _curvature_bound,
+    _grid,
     certify_below,
     curve_samples,
     local_maxima,
@@ -178,14 +179,14 @@ def test_sup_norm_reference_values(ctx40, reference, certified):
 
 
 # sup_norm at 40 digits: the value and err that ``fel upper-eval --A k
-# --digits 40`` prints (``BoundResult.to_json``, whose value passes through a
-# 53-bit mpf), then the value to 25 digits at working precision
+# --digits 40`` prints (``BoundResult.to_json``, which formats the value at
+# its own precision), then the value to 25 digits at working precision
 PINNED_UPPER = {
-    "1/4": ("1.335087886196560935658795", "1.0010324e-8", "1.335087886196560875153017"),
-    "1/3": ("1.287803323080233042219334", "1.0007114e-8", "1.287803323080232987541055"),
-    "1/2": ("1.230797838680213640571992", "1.0007423e-8", "1.230797838680213591977022"),
-    "1": ("1.147307735672914219549057", "1.001171e-8", "1.147307735672914145306888"),
-    "3": ("1.062392981791822066384157", "1.0017046e-8", "1.062392981791822085227474"),
+    "1/4": ("1.335087886196560875153017", "1.0010324e-8", "1.335087886196560875153017"),
+    "1/3": ("1.287803323080232987541055", "1.0007114e-8", "1.287803323080232987541055"),
+    "1/2": ("1.230797838680213591977022", "1.0007423e-8", "1.230797838680213591977022"),
+    "1": ("1.147307735672914145306888", "1.001171e-8", "1.147307735672914145306888"),
+    "3": ("1.062392981791822085227474", "1.0017046e-8", "1.062392981791822085227474"),
 }
 
 
@@ -197,6 +198,21 @@ def test_sup_norm_pinned_digits(ctx40, certified):
         with ctx40.workprec():
             assert mp.nstr(r.value, 25) == value, key
         assert r.meta["cells"] > 0, key
+
+
+def test_grid_equals_linspace():
+    # the hand-built grids of fast_sup are np.linspace bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        t_max = float(rng.uniform(0.25, 15.0))
+        n = int(rng.integers(201, 2000))
+        assert np.array_equal(_grid(0.0, t_max, n), np.linspace(0.0, t_max, n))
+        step = float(rng.uniform(1e-3, 1e-1))
+        c = rng.uniform(0.0, t_max, 10)
+        lo, hi = np.maximum(c - step, 0.0), c + step
+        for num in (41, 21):
+            got, want = _grid(lo, hi, num), np.linspace(lo, hi, num, axis=1)
+            assert np.array_equal(got, want) and got.strides == want.strides
 
 
 def test_residual_equals_segment_sum(ctx40, reference):
