@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -69,6 +70,7 @@ _SPLIT = 8                  # branch-and-bound cell split factor
 _MAX_ROUNDS = 40
 _CELL_BUDGET = 4_000_000
 _TWO_PI_I, _MINUS_TWO_PI_I = 2j * np.pi, -2j * np.pi
+_FLOAT_CEILING = mp.mpf(sys.float_info.max) / 2**10  # headroom for the grid's few products
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,25 @@ def _curvature_bound(up: UpperParams):
         return 8 * mp.pi**3 * total
 
 
+def _grid_curvature_bound(up: UpperParams):
+    """:func:`_curvature_bound`, once the float grid is known to stay in range.
+
+    The grid holds each ``e^{pi T_n}``, residual terms up to the mass constant
+    ``C``, derivative terms up to ``2 pi T_N`` times the larger of the two, and
+    the curvature bound; each must stay below ``_FLOAT_CEILING``, or the knots
+    are refused with ``ValueError``.  ``e^{pi T_N}`` is compared by its
+    logarithm first, so a huge knot costs no huge exponential.
+    """
+    last = up.mp_knots()[-1] if up.knots else mp.mpf(0)
+    if mp.pi * last < mp.log(_FLOAT_CEILING):
+        L2 = _curvature_bound(up)
+        mass = max(_mass_constant(up), mp.e ** (mp.pi * last))
+        if max(mass * (1 + 2 * mp.pi * last), L2) < _FLOAT_CEILING:
+            return L2
+    raise ValueError("knots up to %s take the float grid out of range (its constants must "
+                     "stay below %s)" % (up.knots[-1], mp.nstr(_FLOAT_CEILING, 3)))
+
+
 def tail_majorant(up: UpperParams, t):
     """Decreasing bound for |residual(t')| valid for every t' >= t > 0."""
     t = mp.mpf(t)
@@ -347,7 +368,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
     cell midpoints evaluated (``cells``).
     """
     with ctx.workprec():
-        L2 = _curvature_bound(up)
+        L2 = _grid_curvature_bound(up)
         g0 = abs(residual(up, 0))
         t_max = _tail_cut(up, g0 * (1 - mp.mpf("1e-6")))
         last_knot = up.mp_knots()[-1] if up.knots else mp.mpf(0)
@@ -387,7 +408,7 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
     majorant drops under the threshold.
     """
     with ctx.workprec():
-        L2 = _curvature_bound(up)
+        L2 = _grid_curvature_bound(up)
         t_hi = _tail_cut(up, mp.mpf(threshold) * (1 - mp.mpf("1e-9")))
         meta = {"t_window": (float(t_lo), float(t_hi)), "curvature": float(L2)}
         if t_hi <= t_lo:

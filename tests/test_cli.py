@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fel import cli, lower, nt, search
 from fel.lower import LowerParams
 from fel.precision import Unconverged
-from fel.upper import BoundResult, UpperParams
+from fel.upper import BoundResult, UpperParams, residual_np
 
 
 def run(capsys, *argv):
@@ -188,16 +195,70 @@ def test_config_keys_a_command_does_not_read_are_rejected(capsys, tmp_path, argv
 
 @pytest.mark.parametrize("t_last, reason", [
     ("100", "witness polish lost the maximum"),
-    ("230", "not finite"),
 ])
 def test_upper_eval_huge_knots_unconverged(capsys, tmp_path, t_last, reason):
-    # e^(pi T) near or past the float range: no certificate, exit 3
+    # e^(pi T) near 1e136: the polish check fails on float rounding, exit 3
     f = tmp_path / "up.json"
     f.write_text(json.dumps({"A": "1", "T": ["0.2", t_last]}))
     code, out, err = run(capsys, "upper-eval", "--params", str(f))
     assert code == 3
     assert out == ""
     assert reason in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_last", ["226", "230", "250"])
+def test_upper_eval_knots_past_float_range(capsys, tmp_path, t_last):
+    # e^(pi T) past the float range: refused before any float grid is built,
+    # so numpy warns of no overflow
+    f = tmp_path / "up.json"
+    f.write_text(json.dumps({"A": "1", "T": ["0.2", t_last]}))
+    code, out, err = run(capsys, "upper-eval", "--params", str(f))
+    assert code == 2
+    assert out == ""
+    assert "take the float grid out of range" in err
+
+
+def _spot_abs_residual(A, knots, t):
+    """|residual(t)| straight from the transform formula, apart from fel.upper."""
+    z, d = mp.pi - 2j * mp.pi * t, 1 - 2j * t
+    val = 2 / d
+    ks = [mp.mpf(0)] + [mp.mpf(k) for k in knots]
+    for n in range(len(knots)):
+        cn = A if n % 2 == 0 else -1
+        val -= 2 * cn * (mp.exp(z * ks[n + 1]) - mp.exp(z * ks[n])) / d
+    return abs(val)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=10, max_denominator=16),
+    st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=4),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=400.0), st.floats(min_value=1e3, max_value=1e300)),
+)
+def test_upper_eval_hostile_knots(tmp_path_factory, A, gaps, jump):
+    # random knot sets, huge last knots included: a certificate that a spot
+    # value does not beat, or a domain error or Unconverged and no report
+    knots = [repr(float(k)) for k in np.cumsum(gaps)]
+    if jump is not None:
+        knots.append(repr(float(knots[-1]) + jump))
+    f = tmp_path_factory.mktemp("hostile") / "up.json"
+    f.write_text(json.dumps({"A": str(A), "T": knots}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["upper-eval", "--params", str(f), "--digits", "30"])
+    if code != 0:
+        assert code in (2, 3), err.getvalue()
+        assert out.getvalue() == ""
+        return
+    rep = json.loads(out.getvalue())
+    with mp.workdps(40):
+        value, radius = mp.mpf(rep["value"]), mp.mpf(rep["err"])
+        assert mp.isfinite(value) and mp.isfinite(radius)
+        ts = np.linspace(0.0, rep["meta"]["t_max"], 20_001)
+        t_peak = ts[int(np.argmax(np.abs(residual_np(A, knots, ts))))]
+        for t in (mp.mpf(0), mp.mpf(rep["meta"]["witness_t"]), mp.mpf(t_peak)):
+            assert _spot_abs_residual(A, knots, t) <= value + radius, t
 
 
 def test_bound_result_rejects_non_finite_radius():
@@ -257,3 +318,21 @@ def test_search_upper_uncertified_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "search", "--problem", "upper", "--A", "1")
     assert code == 3
     assert json.loads(out)["certified"] is False
+
+
+def test_commands_other_than_upper_search_do_not_load_scipy():
+    # scipy.optimize is imported by the upper search's Nelder-Mead alone; this
+    # process has it already (conftest imports fel.search), so ask a fresh one
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fel import cli\n"
+        "for argv in (['upper-eval', '--A', '1'], ['lower-eval', '--A', '1'], ['bounds'],\n"
+        "             ['nt', '--kind', 'qnr', '--max-p', '2000']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

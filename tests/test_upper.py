@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -249,6 +250,21 @@ def test_sup_norm_sound_random_knots(A, knots):
         miss = _curvature_bound(up) * (ts[1] - ts[0]) ** 2 / 8
         assert peak <= r.value + r.err
         assert r.value <= peak + r.err + miss
+
+
+def test_knots_at_the_edge_of_the_float_range(ctx40):
+    # the range check refuses knots past 218.90425 at penalty 1 (the curvature
+    # bound binds); just inside it the float grid raises no overflow or invalid
+    inside = UpperParams(penalty=1, knots=("0.2", "218.904"))
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        r = sup_norm(inside, ctx40)
+        assert certify_below(inside, 1.0, 1e299, ctx40)[0]
+    assert r.certified and mp.isfinite(r.value) and mp.isfinite(r.err)
+    outside = UpperParams(penalty=1, knots=("0.2", "218.905"))
+    for certify in (lambda: sup_norm(outside, ctx40), lambda: certify_below(outside, 1.0, 1e299, ctx40)):
+        with pytest.raises(ValueError, match="take the float grid out of range"):
+            certify()
 
 
 def test_sup_norm_certificate_sound(ctx40, reference, certified):
