@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 import time
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -45,11 +46,9 @@ def main():
                   f"{mp.nstr(implied_constant(str(hi.value), ctx), 6):>10} "
                   f"{elapsed:5.1f}s")
             assert lo.value <= hi.value
-            assert abs(lo.l1.value - 1) < 1e-3
+            assert abs(lo.meta["l1"].value - 1) < 1e-3
     print("\ngeneric closed-form lower bounds (tent profile):")
     for key in ("1/4", "1/3", "1/2"):
-        from fractions import Fraction
-
         A = Fraction(key)
         with ctx.workprec():
             v = closed_lower_bound(mp.mpf(A.numerator) / A.denominator, ctx)

@@ -2,7 +2,9 @@
 
 Two dual test families bracket each constant: a lower family evaluated
 exactly through closed-form antiderivatives, and an upper family whose
-sup-norm is certified by Lipschitz grids with analytic tail majorants.
+sup-norm is certified by a second-order branch-and-bound (cell bounds from
+a closed-form curvature bound) with analytic tail majorants.  Every
+certified number is a :class:`ErrBounded` value with its error radius.
 Closed-form generic bounds, derivative-free searches, and desk-scale
 number-theoretic consistency scans round out the toolkit; the ``fel`` CLI
 ties it together.
@@ -10,7 +12,7 @@ ties it together.
 
 from .precision import ErrBounded, PrecisionContext, Unconverged
 from .lower import LowerParams
-from .upper import BoundResult, UpperParams
+from .upper import UpperParams
 
 __version__ = "0.1.0"
 
@@ -20,6 +22,5 @@ __all__ = [
     "Unconverged",
     "LowerParams",
     "UpperParams",
-    "BoundResult",
     "__version__",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "l1_norm",
     "sign_partition",
     "reward",
-    "Reward",
     "curve_samples",
     "INF",
 ]
@@ -245,6 +244,24 @@ def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
         return ErrBounded(value, 2 * (head.err + tail.err))
 
 
+def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, coeffs, ctx: PrecisionContext):
+    """The u-intervals of (lo, 0) between the profile's sign changes.
+
+    ``lo`` is the exact left end and ``u_lo`` its value at working precision
+    (call inside ``ctx.workprec()``); ``coeffs`` are :func:`_odd_coeffs` at
+    that precision.  The sign changes are isolated exactly; each interval
+    comes as ``(u1, u2, sign)`` with the sign (+1, -1 or 0) of the
+    polynomial at its midpoint.
+    """
+    roots = isolate_sign_changes(_exact_odd_coeffs(p), lo, 0, ctx)
+    edges = [u_lo, *roots, mp.mpf(0)]
+    out = []
+    for u1, u2 in zip(edges[:-1], edges[1:]):
+        v = odd_poly_eval(coeffs, (u1 + u2) / 2)
+        out.append((u1, u2, (v > 0) - (v < 0)))
+    return out
+
+
 def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
     """Sign layout of the profile on the examined support window.
 
@@ -252,30 +269,16 @@ def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
     (the mass beyond carries weight under e^u < 1e-17) and mapped to
     t = (a*u + c)/pi.
     """
-    exact_lo = -(_U_WINDOW + abs(Fraction(p.c)) / Fraction(p.a))
-    changes = isolate_sign_changes(_exact_odd_coeffs(p), exact_lo, 0, ctx)
     with ctx.workprec():
         a, c, bs = p.mp_values()
-        coeffs = _odd_coeffs(bs)
-        u_lo = -(_U_WINDOW + abs(c) / a)
-        to_t = lambda u: (a * u + c) / mp.pi
-        breaks = tuple(to_t(u) for u in changes.roots)
-        edges = [u_lo] + list(changes.roots) + [mp.mpf(0)]
-        signs = []
-        for x1, x2 in zip(edges[:-1], edges[1:]):
-            v = odd_poly_eval(coeffs, (x1 + x2) / 2)
-            signs.append(0 if v == 0 else (1 if v > 0 else -1))
-        return SignPartition(breakpoints=breaks, signs=tuple(signs))
+        exact_lo = -(_U_WINDOW + abs(Fraction(p.c)) / Fraction(p.a))
+        intervals = _sign_intervals(p, exact_lo, -(_U_WINDOW + abs(c) / a), _odd_coeffs(bs), ctx)
+        # every interval but the first starts at a sign change
+        breaks = tuple((a * u1 + c) / mp.pi for u1, _, _ in intervals[1:])
+        return SignPartition(breakpoints=breaks, signs=tuple(s for _, _, s in intervals))
 
 
-@dataclass(frozen=True)
-class Reward(ErrBounded):
-    """The reward, with the L^1 norm it was normalized by."""
-
-    l1: ErrBounded
-
-
-def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
+def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
     """The normalized reward functional of the family at ``penalty``.
 
     All three integrals are evaluated exactly per sign interval through the
@@ -285,7 +288,8 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
     missed and the radius carries only quadrature and rounding error.
     ``penalty`` may be a Fraction, a rational string like "1/3", a float, or
     ``INF`` (which requires the profile to be <= 0 on the positive axis and
-    drops the penalty term).
+    drops the penalty term).  ``meta["l1"]`` is the L^1 norm the reward was
+    normalized by.
     """
     A = as_penalty(penalty)
     with ctx.workprec():
@@ -310,16 +314,12 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
         pos_mass = mp.mpf(0)
         neg_mass = mp.mpf(0)
         if c > 0:
-            changes = isolate_sign_changes(
-                _exact_odd_coeffs(p), -Fraction(p.c) / Fraction(p.a), 0, ctx
-            )
-            edges = [u_zero] + list(changes.roots) + [mp.mpf(0)]
-            for x1, x2 in zip(edges[:-1], edges[1:]):
+            exact_zero = -Fraction(p.c) / Fraction(p.a)
+            for x1, x2, sign in _sign_intervals(p, exact_zero, u_zero, coeffs, ctx):
                 if not x2 > x1:
                     continue
                 val = piece(x1, x2)
-                mid_sign = odd_poly_eval(coeffs, (x1 + x2) / 2)
-                if mid_sign >= 0:
+                if sign >= 0:
                     pos_mass += val
                 else:
                     neg_mass += -val
@@ -343,7 +343,7 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> Reward:
         num_err = abs(num) * round_eps
         value = 2 * mp.pi * num / l1.value
         err = 2 * mp.pi * (num_err / l1.value + abs(num) * l1.err / l1.value**2)
-        return Reward(value, err + abs(value) * round_eps, l1)
+        return ErrBounded(value, err + abs(value) * round_eps, meta={"l1": l1})
 
 
 def curve_samples(p: LowerParams, t_lo: float, t_hi: float, samples: int):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -41,8 +41,6 @@ __all__ = [
     "PrecisionContext",
     "ErrBounded",
     "Unconverged",
-    "SignChanges",
-    "MaxResult",
     "gauss_legendre",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -143,10 +141,16 @@ class PrecisionContext:
 
 @dataclass(frozen=True)
 class ErrBounded:
-    """A computed value with a claimed absolute-error radius."""
+    """A computed value with a claimed absolute-error radius.
+
+    ``meta`` carries what the producer reports beside the number: the
+    reward's L^1 norm, the sup-norm's certificate inputs, the argmax of a
+    maximization.
+    """
 
     value: object  # mpf, or mpc for complex integrands
     err: object    # mpf >= 0
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not mp.isfinite(self.err):
@@ -154,27 +158,6 @@ class ErrBounded:
 
     def __float__(self):
         return float(self.value)
-
-
-@dataclass(frozen=True)
-class SignChanges:
-    """Sign-change points of an odd-power polynomial on an interval.
-
-    ``roots`` are the strictly increasing points where the sign flips: the
-    real roots of odd multiplicity, each found exactly and refined to the
-    context's error goal.
-    """
-
-    roots: tuple
-
-
-@dataclass(frozen=True)
-class MaxResult:
-    """Result of a bracketed 1-D maximization."""
-
-    argmax: ErrBounded
-    value: ErrBounded
-    boundary: bool  # maximum sits on a bracket endpoint
 
 
 @functools.lru_cache(maxsize=128)
@@ -468,8 +451,8 @@ def isolate_sign_changes(
     lo,
     hi,
     ctx: PrecisionContext,
-) -> SignChanges:
-    """Locate the sign changes of an odd-power polynomial inside (lo, hi).
+) -> tuple:
+    """The sign changes of an odd-power polynomial inside (lo, hi), sorted.
 
     Exact isolation in rational arithmetic: the coefficients and the ends
     are exact rationals (ints, Fractions, Decimals or strings), and the
@@ -490,7 +473,7 @@ def isolate_sign_changes(
         raise ValueError("polynomial is identically zero")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
-        return SignChanges(())
+        return ()
     while q[0] == 0:  # factors of u^2 only raise the odd order of u = 0
         q.pop(0)
     roots = [Fraction(0)] if lo < 0 < hi else []
@@ -523,16 +506,17 @@ def isolate_sign_changes(
                 r = a if a == b else _bisect_root(sign, a, b, sa, target)
                 roots += [r] * pos + [-r] * neg
     with ctx.workprec():
-        return SignChanges(tuple(mp.mpf(r.numerator) / r.denominator for r in sorted(roots)))
+        return tuple(mp.mpf(r.numerator) / r.denominator for r in sorted(roots))
 
 
-def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext) -> MaxResult:
+def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext) -> ErrBounded:
     """Locate a local maximum of continuous ``f`` inside [lo, hi].
 
     A coarse scan picks the best bracket, golden-section refines it, and the
     returned maximum satisfies ``max >= f(argmax) - ctx.target_abs_err`` for
-    the refined local maximum.  If the bracket endpoints keep winning the
-    result is flagged ``boundary`` (a legal outcome for monotone f).
+    the refined local maximum.  ``meta`` holds the ``argmax`` and a
+    ``boundary`` flag, set when a bracket endpoint keeps winning (a legal
+    outcome for monotone f).
     """
     with ctx.workprec():
         lo = mp.mpf(lo)
@@ -575,8 +559,4 @@ def maximize_scalar(f: Callable, lo, hi, ctx: PrecisionContext) -> MaxResult:
         elif hi - xbest <= 2 * wtol and vs[-1] >= vbest - spread:
             boundary, xbest, vbest = True, hi, max(vs[-1], vbest)
         verr = spread + abs(vbest) * round_eps + mp.mpf(ctx.target_abs_err)
-        return MaxResult(
-            argmax=ErrBounded(xbest, b - a),
-            value=ErrBounded(vbest, verr),
-            boundary=boundary,
-        )
+        return ErrBounded(vbest, verr, meta={"argmax": xbest, "boundary": boundary})

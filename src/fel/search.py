@@ -343,7 +343,8 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
 
     Runs ``cfg.restarts`` seeded principal-axis starts on the fast float
     objective (log-parametrized dilation keeps a > 0), then recomputes the
-    incumbent at full precision.  Returns (LowerParams, ErrBounded reward).
+    incumbent at full precision.  Returns (LowerParams, the reward as an
+    ErrBounded whose ``meta["l1"]`` is its L^1 norm).
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -411,7 +412,8 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     Per count: Nelder-Mead locals from seeded perturbations of the incumbent
     (positive gaps keep the ordering); the count loop stops after two
     consecutive counts improve by less than 1e-5, or at ``cfg.n_max``.
-    Returns (UpperParams, BoundResult) certified at full precision.
+    Returns (UpperParams, the sup-norm as an ErrBounded) certified at full
+    precision.
     """
     ctx = ctx or PrecisionContext.make(40)
     empty = upper.UpperParams(penalty=penalty, knots=())  # validates the penalty

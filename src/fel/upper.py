@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -42,6 +42,7 @@ import numpy as np
 
 from .precision import (
     INF,
+    ErrBounded,
     PrecisionContext,
     Unconverged,
     as_decimal,
@@ -52,7 +53,6 @@ from .precision import (
 
 __all__ = [
     "UpperParams",
-    "BoundResult",
     "segment_transform",
     "residual",
     "residual_np",
@@ -114,32 +114,6 @@ class UpperParams:
     @classmethod
     def loads(cls, s: str) -> "UpperParams":
         return cls.from_json(json.loads(s))
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """A certified bound: value, error radius, and the certificate inputs."""
-
-    value: object
-    err: object
-    certified: bool
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not mp.isfinite(self.err):
-            raise ValueError("error radius %s is not finite" % (self.err,))
-
-    def __float__(self):
-        return float(self.value)
-
-    def to_json(self) -> dict:
-        meta = {k: (str(v) if isinstance(v, (mp.mpf, Decimal)) else v) for k, v in self.meta.items()}
-        return {
-            "value": mp.nstr(self.value, 25),  # at the value's own precision
-            "err": mp.nstr(mp.mpf(self.err), 8),
-            "certified": self.certified,
-            "meta": meta,
-        }
 
 
 def segment_transform(coef, lo, hi, t):
@@ -352,7 +326,7 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
     raise Unconverged("branch-and-bound did not reach the requested slack")
 
 
-def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
+def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
     """Certified upper bound for sup over real t of |residual(t)|.
 
     The modulus is even in t (the weight is real), so only t >= 0 is
@@ -381,12 +355,12 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
         lo = max(0.0, wt - half)
         hi = min(float(t_max), wt + half)
         polish = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
-        value = polish.value.value
+        value = polish.value
         if value < wv - 1e-9:  # float witness must not beat the mp value by much
             raise Unconverged("witness polish lost the maximum (float %r, polished %s)"
                               % (wv, mp.nstr(value, 12)))
         float_margin = mp.mpf("1e-13") * _mass_constant(up)
-        err = mp.mpf(cert_sup) - mp.mpf(wv) + polish.value.err + 2 * float_margin
+        err = mp.mpf(cert_sup) - mp.mpf(wv) + polish.err + 2 * float_margin
         if not (mp.isfinite(value) and mp.isfinite(err)):
             raise Unconverged("sup %s with radius %s is not finite: the float grid "
                               "left its range" % (mp.nstr(value, 12), mp.nstr(err, 6)))
@@ -395,9 +369,9 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> BoundResult:
             "cells": cells,
             "t_max": float(t_max),
             "slack": _DEFAULT_SLACK,
-            "witness_t": mp.nstr(polish.argmax.value, 12),
+            "witness_t": mp.nstr(polish.meta["argmax"], 12),
         }
-        return BoundResult(value=value, err=err, certified=True, meta=meta)
+        return ErrBounded(value, err, meta)
 
 
 def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: PrecisionContext):
@@ -435,9 +409,11 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
     Grid detection (strict interior maxima plus dominating endpoints)
     followed by full-precision polish of each candidate.  Returns a list of
     (t, value) pairs in increasing t.  ``t`` is the code's frequency; the
-    positions quoted by the acceptance criteria are ``t/pi``.
+    positions quoted by the acceptance criteria are ``t/pi``.  Knots that take
+    the float grid out of range raise ``ValueError``.
     """
     with ctx.workprec():
+        _grid_curvature_bound(up)  # the range check alone
         ts = np.linspace(t_lo, t_hi, samples + 1)
         v = np.abs(residual_np(up.penalty, up.knots, ts))
         step = (t_hi - t_lo) / samples
@@ -458,7 +434,7 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
             lo = max(t_lo, float(ts[i]) - 2 * step)
             hi = min(t_hi, float(ts[i]) + 2 * step)
             m = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
-            out.append((m.argmax.value, m.value.value))
+            out.append((m.meta["argmax"], m.value))
         out.sort(key=lambda p: p[0])
         merged = []
         for t, val in out:
@@ -474,10 +450,12 @@ def curve_samples(up: UpperParams, t_lo: float, t_hi: float, samples: int):
     """Uniform (t, Re residual, |residual|) samples for plot emission.
 
     ``t`` is the code's frequency; the positions quoted by the acceptance
-    criteria are ``t/pi``.
+    criteria are ``t/pi``.  Knots that take the float grid out of range raise
+    ``ValueError``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _grid_curvature_bound(up)  # the range check alone
     ts = np.linspace(t_lo, t_hi, samples)
     g = residual_np(up.penalty, up.knots, ts)
     return [(float(t), float(z.real), float(abs(z))) for t, z in zip(ts, g)]

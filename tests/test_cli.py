@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fel import cli, lower, nt, search
+from fel import cli, lower, nt, tables
 from fel.lower import LowerParams
 from fel.precision import Unconverged
-from fel.upper import BoundResult, UpperParams, residual_np
+from fel.upper import UpperParams, residual_np
 
 
 def run(capsys, *argv):
@@ -22,7 +22,70 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# the whole report, key order and meta included, of ``lower-eval --A 1`` and
+# ``upper-eval --A 3`` at the default 40 digits
+LOWER_EVAL_REPORT = """\
+{
+  "penalty": "1",
+  "value": "1.146006683318576657133289",
+  "err": "4.45246e-32",
+  "certified_lower_bound": "1.146006683318576657133289",
+  "l1_norm": "0.999995488249247",
+  "l1_err": "3.86518e-32",
+  "params": {
+    "a": "0.246",
+    "c": "0.626",
+    "b": [
+      "0.0027383",
+      "0.0",
+      "-4.1716",
+      "0.6464",
+      "-3.4098",
+      "-1.0923",
+      "1.4628",
+      "-2.5377",
+      "-0.94904",
+      "2.5121",
+      "-2.1423",
+      "0.3164"
+    ]
+  },
+  "digits": 40
+}
+"""
+
+UPPER_EVAL_REPORT = """\
+{
+  "penalty": "3",
+  "value": "1.062392981791822085227474",
+  "err": "1.0017046e-8",
+  "certified": true,
+  "meta": {
+    "grid_step": 1.9535643932908133e-05,
+    "cells": 10194,
+    "t_max": 40.10902127153235,
+    "slack": 1e-08,
+    "witness_t": "6.08592174054e-19"
+  },
+  "params": {
+    "A": "3",
+    "T": [
+      "0.0561589",
+      "0.1037093",
+      "0.1133532",
+      "0.1234334",
+      "0.1257599",
+      "0.1362797",
+      "0.1375030"
+    ]
+  },
+  "digits": 40
+}
+"""
+
+
 def test_lower_eval_reference(capsys, monkeypatch):
+    monkeypatch.delenv("FEL_DIGITS", raising=False)
     calls = []
     l1_norm = lower.l1_norm
     monkeypatch.setattr(lower, "l1_norm", lambda *a: calls.append(a) or l1_norm(*a))
@@ -34,6 +97,7 @@ def test_lower_eval_reference(capsys, monkeypatch):
     assert float(rep["l1_norm"]) == pytest.approx(1.0, abs=1e-3)
     lo = rep["certified_lower_bound"]
     assert float(lo) <= float(rep["value"])
+    assert out == LOWER_EVAL_REPORT
 
 
 def test_lower_eval_quarter(capsys):
@@ -42,12 +106,14 @@ def test_lower_eval_quarter(capsys):
     assert float(json.loads(out)["value"]) >= 1.31706 - 1e-5
 
 
-def test_upper_eval_reference(capsys):
+def test_upper_eval_reference(capsys, monkeypatch):
+    monkeypatch.delenv("FEL_DIGITS", raising=False)
     code, out, _ = run(capsys, "upper-eval", "--A", "3")
     assert code == 0
     rep = json.loads(out)
     assert rep["certified"] is True
     assert float(rep["value"]) <= 1.06240
+    assert out == UPPER_EVAL_REPORT
 
 
 def test_upper_eval_zero_penalty(capsys):
@@ -207,13 +273,18 @@ def test_upper_eval_huge_knots_unconverged(capsys, tmp_path, t_last, reason):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t_last", ["226", "230", "250"])
-def test_upper_eval_knots_past_float_range(capsys, tmp_path, t_last):
+@pytest.mark.parametrize("t_last, argv", [
+    ("226", ("upper-eval",)),
+    ("230", ("upper-eval",)),
+    ("250", ("upper-eval",)),
+    ("230", ("plot-data", "--figure", "upper", "--A", "1", "--samples", "5")),
+], ids=["226", "230", "250", "plot-data"])
+def test_upper_eval_knots_past_float_range(capsys, tmp_path, t_last, argv):
     # e^(pi T) past the float range: refused before any float grid is built,
     # so numpy warns of no overflow
     f = tmp_path / "up.json"
     f.write_text(json.dumps({"A": "1", "T": ["0.2", t_last]}))
-    code, out, err = run(capsys, "upper-eval", "--params", str(f))
+    code, out, err = run(capsys, *argv, "--params", str(f))
     assert code == 2
     assert out == ""
     assert "take the float grid out of range" in err
@@ -261,11 +332,6 @@ def test_upper_eval_hostile_knots(tmp_path_factory, A, gaps, jump):
             assert _spot_abs_residual(A, knots, t) <= value + radius, t
 
 
-def test_bound_result_rejects_non_finite_radius():
-    with pytest.raises(ValueError):
-        BoundResult(mp.mpf("1.2"), mp.nan, True)
-
-
 @pytest.mark.parametrize("argv", [
     ("nt", "--kind", "qnr", "--max-p", "100", "--digits", "50"),
     ("lower-eval", "--A", "1", "--format", "csv"),
@@ -309,17 +375,6 @@ def test_search_cli_small(capsys, tmp_path):
     assert run(capsys, "search", "--problem", "upper", "--A", "bogus")[0] == 2
 
 
-def test_search_upper_uncertified_exit_code(capsys, monkeypatch):
-    def uncertified(penalty, cfg, ctx, transcript_path=None):
-        up = UpperParams(penalty=penalty, knots=("0.5",))
-        return up, BoundResult(mp.mpf("1.2"), mp.mpf("1e-8"), False)
-
-    monkeypatch.setattr(search, "optimize_upper", uncertified)
-    code, out, _ = run(capsys, "search", "--problem", "upper", "--A", "1")
-    assert code == 3
-    assert json.loads(out)["certified"] is False
-
-
 def test_commands_other_than_upper_search_do_not_load_scipy():
     # scipy.optimize is imported by the upper search's Nelder-Mead alone; this
     # process has it already (conftest imports fel.search), so ask a fresh one
@@ -336,3 +391,16 @@ def test_commands_other_than_upper_search_do_not_load_scipy():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduce_bounds_script_runs():
+    # the headline-table script: one row per shipped penalty, and its own
+    # lower <= upper and unit-L1 asserts hold (else it exits non-zero)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "reproduce_bounds.py")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, script, "--digits", "30"],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    firsts = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+    assert [w for w in firsts if w in tables.PENALTIES] == list(tables.PENALTIES)

@@ -187,7 +187,7 @@ def test_reward_close_root_pair_matches_exact_roots(ctx40, pair, penalty):
             mass = mp.quad(f, [x1, x2])
             num -= -mass if f((x1 + x2) / 2) < 0 else A * mass
         pref = mp.e ** mp.mpf("2.4") / mp.pi  # (a / pi) e^c
-        exact = 2 * mp.pi * pref * num / res.l1.value
+        exact = 2 * mp.pi * pref * num / res.meta["l1"].value
         assert abs(res.value - exact) <= res.err
 
 

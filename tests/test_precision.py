@@ -133,15 +133,15 @@ def test_precision_doubling_stability(ctx40):
 
 
 def test_isolate_sign_changes_linear(ctx40):
-    sc = isolate_sign_changes([1], -1, 1, ctx40)
-    assert len(sc.roots) == 1 and abs(sc.roots[0]) < 1e-29
+    roots = isolate_sign_changes([1], -1, 1, ctx40)
+    assert len(roots) == 1 and abs(roots[0]) < 1e-29
 
 
 def test_isolate_sign_changes_cubic(ctx40):
     # u^3 - u has sign changes at -1, 0, 1
-    sc = isolate_sign_changes([-1, 1], -2, 2, ctx40)
-    assert len(sc.roots) == 3
-    for r, expect in zip(sc.roots, (-1, 0, 1)):
+    roots = isolate_sign_changes([-1, 1], -2, 2, ctx40)
+    assert len(roots) == 3
+    for r, expect in zip(roots, (-1, 0, 1)):
         assert abs(r - expect) < 1e-28
 
 
@@ -186,21 +186,21 @@ def test_isolate_sign_changes_matches_sympy(ctx40, case):
     lo_s, hi_s = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
     expect = [r for r, m in sympy.real_roots(poly, multiple=False)
               if m % 2 and lo_s < r < hi_s]
-    sc = isolate_sign_changes(coeffs, lo, hi, ctx40)
-    assert len(sc.roots) == len(expect), (sc.roots, expect)
+    roots = isolate_sign_changes(coeffs, lo, hi, ctx40)
+    assert len(roots) == len(expect), (roots, expect)
     with ctx40.workprec():
-        for got, r in zip(sc.roots, expect):
+        for got, r in zip(roots, expect):
             assert abs(got - mp.mpf(str(sympy.N(r, 50)))) < 1e-28, (got, r)
 
 
 def test_isolate_sign_changes_close_pair_inside_one_old_step(ctx40):
     # -u (u^2 - 1)(u^2 - 1.00001^2): two flips 1e-5 apart on (-2.4, 0)
     r2 = Fraction("1.00001") ** 2
-    sc = isolate_sign_changes([-r2, 1 + r2, -1], Fraction("-2.4"), 0, ctx40)
+    roots = isolate_sign_changes([-r2, 1 + r2, -1], Fraction("-2.4"), 0, ctx40)
     with ctx40.workprec():
-        assert len(sc.roots) == 2
-        assert abs(sc.roots[0] + mp.mpf("1.00001")) < 1e-29
-        assert abs(sc.roots[1] + 1) < 1e-29
+        assert len(roots) == 2
+        assert abs(roots[0] + mp.mpf("1.00001")) < 1e-29
+        assert abs(roots[1] + 1) < 1e-29
 
 
 def test_err_bounded_rejects_non_finite_radius():
@@ -215,9 +215,9 @@ def test_sign_correctness_sampling(ctx40):
 
     rng = random.Random(7)
     coeffs = [3, -4, 1]  # u(3 - 4u^2 + u^4) = u(u^2-1)(u^2-3)
-    sc = isolate_sign_changes(coeffs, -2, 2, ctx40)
-    assert len(sc.roots) == 5
-    edges = [mp.mpf(-2)] + list(sc.roots) + [mp.mpf(2)]
+    roots = isolate_sign_changes(coeffs, -2, 2, ctx40)
+    assert len(roots) == 5
+    edges = [mp.mpf(-2)] + list(roots) + [mp.mpf(2)]
     with ctx40.workprec():
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo < 1e-20:
@@ -233,15 +233,15 @@ def test_sign_correctness_sampling(ctx40):
 
 def test_maximize_quadratic_bowl(ctx40):
     r = maximize_scalar(lambda t: -((t - mp.mpf("0.5")) ** 2), 0, 1, ctx40)
-    assert abs(r.argmax.value - mp.mpf("0.5")) < 1e-20
-    assert abs(r.value.value) < 1e-30
-    assert not r.boundary
+    assert abs(r.meta["argmax"] - mp.mpf("0.5")) < 1e-20
+    assert abs(r.value) < 1e-30
+    assert not r.meta["boundary"]
 
 
 def test_maximize_boundary_status(ctx40):
     r = maximize_scalar(lambda t: t, 0, 1, ctx40)
-    assert r.boundary
-    assert abs(r.argmax.value - 1) < 1e-20
+    assert r.meta["boundary"]
+    assert abs(r.meta["argmax"] - 1) < 1e-20
 
 
 @settings(max_examples=20, deadline=None)

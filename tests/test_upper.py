@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fel import tables
+from fel import cli, tables
 from fel.precision import PrecisionContext, integrate_finite, integrate_semi_infinite
 from fel.upper import (
     UpperParams,
@@ -168,20 +168,20 @@ def test_tail_majorant_dominates_samples(reference):
 
 def test_sup_norm_psi_zero(ctx40):
     r = sup_norm(PSI0, ctx40)
-    assert r.certified
+    assert mp.isfinite(r.err)
     assert abs(r.value - 2) < 1e-12
 
 
 def test_sup_norm_reference_values(ctx40, reference, certified):
     for key, (bound, _) in reference.items():
         r = certified[key]
-        assert r.certified, key
+        assert mp.isfinite(r.err), key
         assert abs(r.value - mp.mpf(str(bound))) < 1e-5, key
 
 
 # sup_norm at 40 digits: the value and err that ``fel upper-eval --A k
-# --digits 40`` prints (``BoundResult.to_json``, which formats the value at
-# its own precision), then the value to 25 digits at working precision
+# --digits 40`` prints (``cli._upper_keys``, which formats the value at its
+# own precision), then the value to 25 digits at working precision
 PINNED_UPPER = {
     "1/4": ("1.335087886196560875153017", "1.0010324e-8", "1.335087886196560875153017"),
     "1/3": ("1.287803323080232987541055", "1.0007114e-8", "1.287803323080232987541055"),
@@ -194,7 +194,7 @@ PINNED_UPPER = {
 def test_sup_norm_pinned_digits(ctx40, certified):
     for key, (printed, err, value) in PINNED_UPPER.items():
         r = certified[key]
-        j = r.to_json()
+        j = cli._upper_keys(r)
         assert (j["value"], j["err"]) == (printed, err), key
         with ctx40.workprec():
             assert mp.nstr(r.value, 25) == value, key
@@ -260,11 +260,15 @@ def test_knots_at_the_edge_of_the_float_range(ctx40):
         warnings.simplefilter("error")
         r = sup_norm(inside, ctx40)
         assert certify_below(inside, 1.0, 1e299, ctx40)[0]
-    assert r.certified and mp.isfinite(r.value) and mp.isfinite(r.err)
+        assert local_maxima(inside, 0.0, 1.0, ctx40, samples=1000)
+        assert len(curve_samples(inside, 0.0, 15.0, 50)) == 50
+    assert mp.isfinite(r.value) and mp.isfinite(r.err)
     outside = UpperParams(penalty=1, knots=("0.2", "218.905"))
-    for certify in (lambda: sup_norm(outside, ctx40), lambda: certify_below(outside, 1.0, 1e299, ctx40)):
+    for refused in (lambda: sup_norm(outside, ctx40), lambda: certify_below(outside, 1.0, 1e299, ctx40),
+                    lambda: local_maxima(outside, 0.0, 1.0, ctx40, samples=1000),
+                    lambda: curve_samples(outside, 0.0, 15.0, 50)):
         with pytest.raises(ValueError, match="take the float grid out of range"):
-            certify()
+            refused()
 
 
 def test_sup_norm_certificate_sound(ctx40, reference, certified):
@@ -332,7 +336,7 @@ def test_curve_samples_shape(reference):
 
 
 def test_bound_result_json(certified):
-    j = certified["1"].to_json()
+    j = cli._upper_keys(certified["1"])
     assert j["certified"] is True
     assert float(j["value"]) == pytest.approx(1.1473077, abs=1e-6)
 
