@@ -98,9 +98,12 @@ def _lower_params(ns) -> lower.LowerParams:
 
 
 def _upper_params(ns) -> upper.UpperParams:
-    if ns.get("params"):
-        return upper.UpperParams.from_json(_load_json_file(ns["params"]))
     key = ns.get("A")
+    if ns.get("params"):
+        up = upper.UpperParams.from_json(_load_json_file(ns["params"]))
+        if key is not None and as_penalty(key) != up.penalty:
+            raise _CliError("--A %s disagrees with the penalty %s of %s" % (key, up.penalty, ns["params"]))
+        return up
     ref = tables.upper_reference()
     if key in ref:
         return ref[key][1]
@@ -259,8 +262,6 @@ def cmd_plot_data(ns) -> int:
     rng = ns.get("range") or []
     rows = []
     if figure == "upper":
-        if ns.get("A") is None:
-            raise _CliError("--A is required for the upper figure")
         up = _upper_params(ns)
         lo, hi = (float(rng[0]), float(rng[1])) if len(rng) == 2 else (0.0, 15.0)
         header = ["t", "re", "abs"]

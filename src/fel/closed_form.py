@@ -1,5 +1,5 @@
-"""Closed-form constants: endpoints, the tent-profile lower bound, and the
-implied asymptotic constants.
+"""Closed-form constants: the tent-profile lower bound and the implied
+asymptotic constants.
 
 The tent profile is the triangle transform (1 - |eps*(t + shift)|)_+ of the
 classical non-negative kernel; its reward functional has an elementary
@@ -24,7 +24,6 @@ from .precision import ErrBounded, PrecisionContext, integrate_finite
 
 __all__ = [
     "TentParams",
-    "endpoint_values",
     "closed_lower_bound",
     "closed_lower_bound_first_branch",
     "simple_lower_bound",
@@ -63,11 +62,6 @@ class TentParams:
             object.__setattr__(self, "epsilon", eps)
             object.__setattr__(self, "shift", c)
             object.__setattr__(self, "penalty", A)
-
-
-def endpoint_values():
-    """Exact endpoint constants at penalty 0 and infinity: (2, 1)."""
-    return (2, 1)
 
 
 def _check_open_unit(A):

@@ -50,22 +50,15 @@ from .precision import (
 
 __all__ = [
     "LowerParams",
-    "SignPartition",
     "NotInClassError",
     "DegenerateError",
     "spectrum",
     "modulus",
     "l1_norm",
-    "sign_partition",
     "reward",
     "curve_samples",
     "INF",
 ]
-
-# root isolation window in u; e^u below -40 is under 1e-17, negligible at the
-# tolerances any shipped parameter set is used with
-_U_WINDOW = 40
-
 
 class NotInClassError(ValueError):
     """Infinite penalty demands a non-positive profile on the positive axis."""
@@ -117,22 +110,6 @@ class LowerParams:
     @classmethod
     def loads(cls, s: str) -> "LowerParams":
         return cls.from_json(json.loads(s))
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """Sign layout of the transform profile on its support.
-
-    ``breakpoints`` are the t-values where the profile changes sign inside
-    the examined window, strictly increasing: the roots of odd
-    multiplicity, isolated exactly (roots of even multiplicity touch zero
-    without a flip and are not breakpoints).  ``signs`` has one entry per
-    interval between consecutive breakpoints (window edges included) with
-    values +1/-1/0.
-    """
-
-    breakpoints: tuple
-    signs: tuple
 
 
 def _odd_coeffs(bs):
@@ -260,22 +237,6 @@ def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, coeffs, ctx: PrecisionCo
         v = odd_poly_eval(coeffs, (u1 + u2) / 2)
         out.append((u1, u2, (v > 0) - (v < 0)))
     return out
-
-
-def sign_partition(p: LowerParams, ctx: PrecisionContext) -> SignPartition:
-    """Sign layout of the profile on the examined support window.
-
-    Roots are isolated exactly in the u variable on [-(window + |c|/a), 0]
-    (the mass beyond carries weight under e^u < 1e-17) and mapped to
-    t = (a*u + c)/pi.
-    """
-    with ctx.workprec():
-        a, c, bs = p.mp_values()
-        exact_lo = -(_U_WINDOW + abs(Fraction(p.c)) / Fraction(p.a))
-        intervals = _sign_intervals(p, exact_lo, -(_U_WINDOW + abs(c) / a), _odd_coeffs(bs), ctx)
-        # every interval but the first starts at a sign change
-        breaks = tuple((a * u1 + c) / mp.pi for u1, _, _ in intervals[1:])
-        return SignPartition(breakpoints=breaks, signs=tuple(s for _, _, s in intervals))
 
 
 def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:

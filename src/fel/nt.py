@@ -37,7 +37,6 @@ __all__ = [
     "jacobi",
     "least_qnr",
     "least_prime_qr",
-    "least_prime_in_ap",
     "primes_upto",
     "segmented_primes",
     "totient",
@@ -45,7 +44,6 @@ __all__ = [
     "summarize",
     "raised_cosine_bump",
     "prime_sum_check",
-    "chebyshev_psi",
     "DEFAULT_SCAN_FLOORS",
     "COMPARATORS",
 ]
@@ -150,22 +148,6 @@ def least_prime_qr(p: int) -> int:
         i += 1
 
 
-def least_prime_in_ap(a: int, q: int, limit: int) -> int:
-    """Least prime congruent to a modulo q, or raise if none <= limit."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError("gcd(a, q) must be 1")
-    n = a % q
-    if n == 0:
-        n = q  # only when q == 1
-    while n <= limit:
-        if n >= 2 and is_prime_u64(n):
-            return n
-        n += q
-    raise LookupError("no prime <= %d in the progression %d mod %d" % (limit, a, q))
-
-
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n (numpy sieve)."""
     if n < 2:
@@ -235,7 +217,7 @@ class NtRecord:
 
 @dataclass
 class ScanSummary:
-    """Associative max-reduction over scan records."""
+    """Running max-reduction over scan records."""
 
     comparator: float
     kind: str
@@ -248,13 +230,6 @@ class ScanSummary:
         if self.max_ratio is None or rec.ratio > self.max_ratio:
             self.max_ratio = rec.ratio
             self.argmax = rec.key
-
-    def merge(self, other: "ScanSummary") -> "ScanSummary":
-        out = ScanSummary(self.comparator, self.kind, self.count + other.count)
-        picks = [(s.max_ratio, s.argmax) for s in (self, other) if s.max_ratio is not None]
-        if picks:
-            out.max_ratio, out.argmax = max(picks, key=lambda t: t[0])
-        return out
 
     @property
     def margin(self):
@@ -287,7 +262,8 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
     kind "qnr"/"prime-qr": odd primes p in [lo, hi], ratio value/log^2 p.
     kind "ap": moduli q in [lo, hi], every residue coprime to q, ratio
     P(a,q)/(phi(q) log q)^2.  Deterministic and restartable: records depend
-    only on the key, so chunked ranges merge into identical summaries.
+    only on the key, so the records of consecutive chunks concatenate to
+    those of the whole range.
     """
     if kind in ("qnr", "prime-qr"):
         fn = least_qnr if kind == "qnr" else least_prime_qr
@@ -332,7 +308,7 @@ def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
 
 def summarize(records: Iterator[NtRecord], kind: str) -> ScanSummary:
     """Reduce a record stream to its summary against ``COMPARATORS[kind]``
-    (associative, order-free)."""
+    (order-free)."""
     s = ScanSummary(comparator=COMPARATORS[kind], kind=kind)
     for rec in records:
         s.update(rec)
@@ -512,19 +488,3 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
         psi_m=psi_m,
         psi_window=math.sqrt(m) * logm**2,
     )
-
-
-def chebyshev_psi(x: int) -> float:
-    """Chebyshev psi(x) = sum of Lambda(n) for n <= x, by segmented sieve."""
-    if x < 2:
-        return 0.0
-    total = 0.0
-    for block in segmented_primes(2, x + 1):
-        total += float(np.log(block.astype(np.float64)).sum())
-    for p in primes_upto(int(math.isqrt(x)) + 1).tolist():
-        lp = math.log(p)
-        n = p * p
-        while n <= x:
-            total += lp
-            n *= p
-    return total

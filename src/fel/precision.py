@@ -1,10 +1,10 @@
 """Arbitrary-precision scalar kernels shared by every other module.
 
-Four primitives, all operating on mpmath scalars at a precision fixed by a
-:class:`PrecisionContext` and all reporting explicit absolute-error radii:
+Three primitives, all operating on mpmath scalars at a precision fixed by a
+:class:`PrecisionContext`, with explicit absolute-error radii where a
+result is not exact:
 
 * adaptive Gauss-Legendre quadrature on finite intervals,
-* semi-infinite quadrature with a caller-supplied certified tail bound,
 * closed-form antiderivatives of ``u^m * exp(lam*u)``,
 * exact isolation of the sign changes of odd-power polynomials (Sturm
   sequences in rational arithmetic, no sampling) and bracketed 1-D
@@ -43,7 +43,6 @@ __all__ = [
     "Unconverged",
     "gauss_legendre",
     "integrate_finite",
-    "integrate_semi_infinite",
     "poly_exp_antiderivative",
     "poly_exp_integral",
     "odd_poly_eval",
@@ -55,7 +54,6 @@ _GL_ORDER = 24          # base panel order; error estimated against order 2x
 _MAX_COARSE = 48        # coarse bracket scan of maximize_scalar
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
-_CUTOFF_BUDGET = 400    # doublings allowed while hunting a tail cutoff
 
 
 INF = mp.inf
@@ -91,14 +89,7 @@ def as_decimal(x) -> Decimal:
 
 
 class Unconverged(RuntimeError):
-    """Raised when a kernel exhausts its refinement budget.
-
-    Carries the best value/error pair reached so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when a kernel exhausts its refinement budget."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +125,6 @@ class PrecisionContext:
         """mpmath precision guard: ``with ctx.workprec(): ...``."""
         return mp.workdps(self.digits)
 
-    def bumped(self, extra: int) -> "PrecisionContext":
-        """Same error goal, ``extra`` more working digits (stability checks)."""
-        return PrecisionContext(self.digits + extra, self.target_abs_err)
-
 
 @dataclass(frozen=True)
 class ErrBounded:
@@ -155,9 +142,6 @@ class ErrBounded:
     def __post_init__(self):
         if not mp.isfinite(self.err):
             raise ValueError("error radius %s is not finite" % (self.err,))
-
-    def __float__(self):
-        return float(self.value)
 
 
 @functools.lru_cache(maxsize=128)
@@ -227,10 +211,7 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
             lo, hi, depth = stack.pop()
             panels += 1
             if panels > _PANEL_BUDGET:
-                raise Unconverged(
-                    "quadrature panel budget exhausted on [%s, %s]" % (a, b),
-                    partial=ErrBounded(value, err),
-                )
+                raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
             coarse = _panel(f, lo, hi, _GL_ORDER, ctx.digits)
             fine = _panel(f, lo, hi, 2 * _GL_ORDER, ctx.digits)
             e = abs(fine - coarse)
@@ -243,72 +224,13 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
             elif depth >= _MAX_DEPTH:
                 raise Unconverged(
                     "quadrature did not converge at depth %d near [%s, %s]"
-                    % (depth, lo, hi),
-                    partial=ErrBounded(value + fine, err + e),
+                    % (depth, lo, hi)
                 )
             else:
                 mid = (lo + hi) / 2
                 stack.append((lo, mid, depth + 1))
                 stack.append((mid, hi, depth + 1))
         return ErrBounded(value, err)
-
-
-def integrate_semi_infinite(
-    f: Callable,
-    a,
-    direction: int,
-    tail: Callable,
-    ctx: PrecisionContext,
-) -> ErrBounded:
-    """Integrate ``f`` from ``a`` toward +/- infinity with a certified tail.
-
-    ``tail(X)`` must return an upper bound (closed form supplied by the
-    caller) for the absolute integral of ``f`` beyond ``X`` in the chosen
-    direction, monotone decreasing as X recedes.  The cutoff is pushed out
-    by doubling until the tail bound is at most half the error goal; the
-    finite part is delegated to :func:`integrate_finite` and the tail bound
-    is added to the radius.
-    """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-    with ctx.workprec():
-        a = mp.mpf(a)
-        target = mp.mpf(ctx.target_abs_err)
-        span = mp.mpf(1)
-        for _ in range(_CUTOFF_BUDGET):
-            X = a + direction * span
-            tb = mp.mpf(tail(X))
-            if tb < 0:
-                raise ValueError("tail bound must be non-negative")
-            if tb <= target / 2:
-                break
-            span *= 2
-        else:
-            raise Unconverged("tail bound never reached tolerance within cutoff budget")
-        # doubling sections toward the cutoff keep panel tolerances sane even
-        # when a slowly decaying tail pushes X out by many orders of magnitude
-        pieces = []
-        step = mp.mpf(1)
-        cur = a
-        while (X - cur) * direction > 0:
-            nxt = cur + direction * step
-            if (X - nxt) * direction <= 0:
-                nxt = X
-            pieces.append((cur, nxt))
-            cur = nxt
-            step *= 2
-        floor = mp.mpf(10) ** (-(ctx.digits - 5))
-        sub_target = max(target / (2 * max(len(pieces), 1)), floor)
-        sub = PrecisionContext(ctx.digits, float(sub_target))
-        value = mp.mpf(0)
-        err = mp.mpf(0)
-        for lo, hi in pieces:
-            fin = integrate_finite(f, lo, hi, sub)
-            value = value + fin.value
-            err += fin.err
-        if direction < 0:
-            value = -value
-        return ErrBounded(value, err + tb)
 
 
 def poly_exp_antiderivative(m: int, lam, u):

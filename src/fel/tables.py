@@ -18,8 +18,6 @@ from .upper import UpperParams
 __all__ = [
     "PENALTIES",
     "ORDER_TO_PENALTY",
-    "IMPLIED_PUBLISHED",
-    "IMPLIED_LIMITS",
     "lower_reference",
     "upper_reference",
     "interval",
@@ -29,11 +27,6 @@ PENALTIES = ("1/4", "1/3", "1/2", "1", "3")
 
 # character order -> penalty key (penalty = 1/(order-1))
 ORDER_TO_PENALTY = {2: "1", 3: "1/2", 4: "1/3", 5: "1/4"}
-
-# published rounded implied constants per order, and the limits of the
-# method implied by the upper bounds
-IMPLIED_PUBLISHED = {2: Decimal("0.7615"), 3: Decimal("0.6707"), 4: Decimal("0.6131"), 5: Decimal("0.5765")}
-IMPLIED_LIMITS = {2: Decimal("0.7596"), 3: Decimal("0.6601"), 4: Decimal("0.6029"), 5: Decimal("0.5610")}
 
 
 def _load(name: str) -> dict:

@@ -53,11 +53,9 @@ from .precision import (
 
 __all__ = [
     "UpperParams",
-    "segment_transform",
     "residual",
     "residual_np",
     "fast_sup",
-    "tail_majorant",
     "sup_norm",
     "certify_below",
     "local_maxima",
@@ -116,23 +114,10 @@ class UpperParams:
         return cls.from_json(json.loads(s))
 
 
-def segment_transform(coef, lo, hi, t):
-    """2*pi times the transform of ``coef * e^{pi x}`` on (lo, hi) at ``t``."""
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    if not (0 <= lo < hi):
-        raise ValueError("need 0 <= lo < hi")
-    coef = mp.mpf(coef)
-    t = mp.mpf(t)
-    z = mp.pi - 2j * mp.pi * t
-    return 2 * coef * (mp.e ** (z * hi) - mp.e ** (z * lo)) / (1 - 2j * t)
-
-
 def residual(up: UpperParams, t):
     """The residual transform at real ``t`` (complex value).
 
-    Each ``e^{(pi - 2 pi i t) T_n}`` is computed once, as in :func:`residual_np`;
-    the terms are :func:`segment_transform`'s, bit for bit.
+    Each ``e^{(pi - 2 pi i t) T_n}`` is computed once, as in :func:`residual_np`.
     """
     t = mp.mpf(t)
     z = mp.pi - 2j * mp.pi * t
@@ -259,16 +244,8 @@ def _grid_curvature_bound(up: UpperParams):
                      "stay below %s)" % (up.knots[-1], mp.nstr(_FLOAT_CEILING, 3)))
 
 
-def tail_majorant(up: UpperParams, t):
-    """Decreasing bound for |residual(t')| valid for every t' >= t > 0."""
-    t = mp.mpf(t)
-    if not t > 0:
-        raise ValueError("tail majorant needs t > 0")
-    return _mass_constant(up) / mp.sqrt(1 + 4 * t * t)
-
-
 def _tail_cut(up: UpperParams, threshold):
-    """Smallest t with tail_majorant <= threshold (closed form)."""
+    """Smallest t with C / |1 - 2it| <= threshold, C the mass constant (closed form)."""
     C = _mass_constant(up)
     threshold = mp.mpf(threshold)
     if C <= threshold:
@@ -356,10 +333,12 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
         hi = min(float(t_max), wt + half)
         polish = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
         value = polish.value
-        if value < wv - 1e-9:  # float witness must not beat the mp value by much
+        float_margin = mp.mpf("1e-13") * _mass_constant(up)
+        # a float witness above the polished value by more than the float
+        # grid's own error means the polish missed the maximum
+        if value < wv - float_margin:
             raise Unconverged("witness polish lost the maximum (float %r, polished %s)"
                               % (wv, mp.nstr(value, 12)))
-        float_margin = mp.mpf("1e-13") * _mass_constant(up)
         err = mp.mpf(cert_sup) - mp.mpf(wv) + polish.err + 2 * float_margin
         if not (mp.isfinite(value) and mp.isfinite(err)):
             raise Unconverged("sup %s with radius %s is not finite: the float grid "

@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -259,17 +261,16 @@ def test_config_keys_a_command_does_not_read_are_rejected(capsys, tmp_path, argv
     assert unread in err
 
 
-@pytest.mark.parametrize("t_last, reason", [
-    ("100", "witness polish lost the maximum"),
-])
-def test_upper_eval_huge_knots_unconverged(capsys, tmp_path, t_last, reason):
-    # e^(pi T) near 1e136: the polish check fails on float rounding, exit 3
+def test_upper_eval_huge_knots_certify(capsys, tmp_path):
+    # e^(pi T) near 1e136: the polish check allows the float grid's own error,
+    # so the huge sup certifies
     f = tmp_path / "up.json"
-    f.write_text(json.dumps({"A": "1", "T": ["0.2", t_last]}))
+    f.write_text(json.dumps({"A": "1", "T": ["0.2", "100"]}))
     code, out, err = run(capsys, "upper-eval", "--params", str(f))
-    assert code == 3
-    assert out == ""
-    assert reason in err
+    assert code == 0, err
+    with mp.workdps(40):
+        value = mp.mpf(json.loads(out)["value"])
+        assert mp.isfinite(value) and value >= _spot_abs_residual(1, ["0.2", "100"], mp.mpf(0))
 
 
 @pytest.mark.filterwarnings("error")
@@ -288,6 +289,24 @@ def test_upper_eval_knots_past_float_range(capsys, tmp_path, t_last, argv):
     assert code == 2
     assert out == ""
     assert "take the float grid out of range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("upper-eval",),
+    ("plot-data", "--figure", "upper", "--samples", "5"),
+], ids=["upper-eval", "plot-data"])
+def test_a_must_agree_with_params(capsys, tmp_path, argv):
+    f = tmp_path / "up.json"
+    f.write_text(json.dumps({"A": "1", "T": ["0.2", "0.5"]}))
+    code, out, err = run(capsys, *argv, "--A", "3", "--params", str(f))
+    assert code == 2
+    assert out == ""
+    assert "disagrees" in err
+    code, agreeing, _ = run(capsys, *argv, "--A", "1", "--params", str(f))
+    assert code == 0
+    code, alone, _ = run(capsys, *argv, "--params", str(f))
+    assert code == 0
+    assert alone == agreeing
 
 
 def _spot_abs_residual(A, knots, t):
@@ -330,6 +349,46 @@ def test_upper_eval_hostile_knots(tmp_path_factory, A, gaps, jump):
         t_peak = ts[int(np.argmax(np.abs(residual_np(A, knots, ts))))]
         for t in (mp.mpf(0), mp.mpf(rep["meta"]["witness_t"]), mp.mpf(t_peak)):
             assert _spot_abs_residual(A, knots, t) <= value + radius, t
+
+
+@pytest.fixture(scope="module")
+def upper_certificates():
+    """value + err of ``upper-eval --A k`` for each shipped penalty."""
+    out = {}
+    for k in tables.PENALTIES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["upper-eval", "--A", k]) == 0
+        rep = json.loads(buf.getvalue())
+        with mp.workdps(40):
+            out[k] = mp.mpf(rep["value"]) + mp.mpf(rep["err"])
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(tables.PENALTIES),
+    st.floats(min_value=1e-3, max_value=50.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)), min_size=1, max_size=4),
+)
+def test_lower_eval_hostile_params(tmp_path_factory, upper_certificates, k, a, c, b):
+    # random lower parameter sets: a certified lower bound that stays under
+    # the shipped upper certificate, or a domain error or Unconverged and no report
+    f = tmp_path_factory.mktemp("hostile") / "low.json"
+    f.write_text(json.dumps({"a": repr(a), "c": repr(c), "b": [repr(x) for x in b]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["lower-eval", "--A", k, "--params", str(f), "--digits", "30"])
+    if code != 0:
+        assert code in (2, 3), err.getvalue()
+        assert out.getvalue() == ""
+        return
+    rep = json.loads(out.getvalue())
+    with mp.workdps(40):
+        value, radius = mp.mpf(rep["value"]), mp.mpf(rep["err"])
+        assert mp.isfinite(value) and mp.isfinite(radius)
+        assert value - radius <= upper_certificates[k]
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,3 +463,15 @@ def test_reproduce_bounds_script_runs():
     assert proc.returncode == 0, proc.stderr
     firsts = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
     assert [w for w in firsts if w in tables.PENALTIES] == list(tables.PENALTIES)
+
+
+def test_all_lists_each_public_name():
+    # every exported name exists, and every public function and class a
+    # module defines is exported
+    for name in ("precision", "lower", "upper", "closed_form", "nt", "search", "tables"):
+        mod = importlib.import_module("fel." + name)
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], name
+        defined = {n for n, v in vars(mod).items()
+                   if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
+                   and v.__module__ == mod.__name__}
+        assert sorted(defined - set(mod.__all__)) == [], name

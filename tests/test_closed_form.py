@@ -8,7 +8,6 @@ from fel.closed_form import (
     TentParams,
     closed_lower_bound,
     closed_lower_bound_first_branch,
-    endpoint_values,
     implied_constant,
     large_order_constant,
     simple_lower_bound,
@@ -16,10 +15,6 @@ from fel.closed_form import (
     tent_reward,
     tent_reward_quadrature,
 )
-
-
-def test_endpoints_exact():
-    assert endpoint_values() == (2, 1)
 
 
 def test_closed_lower_bound_quarter(ctx40):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fel import tables
+from fel import lower, tables
 from fel.lower import (
     INF,
     DegenerateError,
@@ -17,10 +17,9 @@ from fel.lower import (
     l1_norm,
     modulus,
     reward,
-    sign_partition,
     spectrum,
 )
-from fel.precision import integrate_finite
+from fel.precision import integrate_finite, isolate_sign_changes, odd_poly_eval
 
 CANON = LowerParams(a="1", c="0", b=("-2",))
 
@@ -115,19 +114,25 @@ def test_l1_norm_reference_normalization(ctx40, reference):
         assert abs(r.value - 1) < 1e-3, key
 
 
+def _sign_changes(p, lo, ctx):
+    """The profile's sign changes in u on (lo, 0), isolated exactly."""
+    return isolate_sign_changes(lower._exact_odd_coeffs(p), lo, 0, ctx)
+
+
 def test_sign_partition_single_sign(ctx40):
-    sp = sign_partition(CANON, ctx40)
-    assert sp.breakpoints == ()
-    assert set(sp.signs) == {1}  # profile is positive on its support
+    assert _sign_changes(CANON, -40, ctx40) == ()
+    with ctx40.workprec():
+        coeffs = lower._odd_coeffs(CANON.mp_values()[2])
+        assert odd_poly_eval(coeffs, -20) > 0  # profile is positive on its support
 
 
 def test_sign_partition_factored(ctx40):
     # b = (1, -6): shape u e^u - u^3 e^u = u(1-u^2) e^u, root at u = -1
     p = LowerParams(a="1", c="0", b=("1", "-6"))
-    sp = sign_partition(p, ctx40)
+    roots = _sign_changes(p, -40, ctx40)
     with ctx40.workprec():
-        assert len(sp.breakpoints) == 1
-        assert abs(sp.breakpoints[0] - (-1 / mp.pi)) < 1e-25
+        assert len(roots) == 1
+        assert abs(roots[0] - (-1)) < 1e-25
 
 
 def test_sign_partition_matches_dense_scan(ctx40, reference):
@@ -135,7 +140,7 @@ def test_sign_partition_matches_dense_scan(ctx40, reference):
     import numpy as np
 
     _, p = reference["1"]
-    sp = sign_partition(p, ctx40)
+    roots = _sign_changes(p, -(40 + abs(Fraction(p.c)) / Fraction(p.a)), ctx40)
     a, c = float(p.a), float(p.c)
     us = np.linspace(-40 - abs(c) / a, 0, 200_001)
     coeffs = [float(bn) / float(mp.factorial(2 * k + 1)) for k, bn in enumerate(p.mp_values()[2])]
@@ -143,7 +148,7 @@ def test_sign_partition_matches_dense_scan(ctx40, reference):
     for k, ck in enumerate(coeffs):
         vals += ck * us ** (2 * k + 1)
     flips = int(((vals[:-1] * vals[1:]) < 0).sum())
-    assert len(sp.breakpoints) == flips
+    assert len(roots) == flips
 
 
 def test_reward_endpoint(ctx40):
