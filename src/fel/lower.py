@@ -139,12 +139,10 @@ def modulus(p: LowerParams, x) -> object:
 
 def _modulus_mp(a, bs, x):
     w = 1 / (1 + 2j * a * x) ** 2
-    acc = mp.mpc(0)
-    wp = mp.mpc(1)
-    for bn in bs:
-        wp *= w
-        acc += bn * wp
-    return (a / mp.pi) * abs(acc)
+    acc = 0
+    for bn in reversed(bs):  # Horner in w: sum b_n w^n = w * (b_1 + w * (b_2 + ...))
+        acc = acc * w + bn
+    return (a / mp.pi) * abs(acc * w)
 
 
 def _l1_tail_start(a, bs):
@@ -186,39 +184,36 @@ def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
     compactification x = X/u (the integrand extends smoothly to u = 0 once X
     is past the dominated-tail point).  The term-wise majorant
     (a/pi) sum |b_n| (2a x)^(-2n) is evaluated at X as an independent upper
-    bound on the tail and folded into the cross-check below.
+    bound on the tail and folded into the cross-check below.  The target is
+    absolute, so a norm under 1/sqrt(2) is redone with b scaled exactly by
+    the power of two that brings it nearest 1 (b = 1e-200 gets the radius of b = 1).
     """
     with ctx.workprec():
         a, _, bs = p.mp_values()
         if all(bn == 0 for bn in bs):
             raise DegenerateError("all coefficients vanish")
         X = _l1_tail_start(a, bs)
-        head = integrate_finite(lambda x: _modulus_mp(a, bs, x), 0, X, ctx)
+        l1 = _l1_quadrature(a, bs, X, ctx, 0)
+        shift = -int(mp.nint(mp.log(l1.value, 2))) if l1.value > 0 else 0
+        if shift > 0:
+            l1 = _l1_quadrature(a, [mp.ldexp(bn, shift) for bn in bs], X, ctx, shift)
+        return l1
 
-        def tail_integrand(u):
-            # |f(X/u)| * X/u^2 with the u^2 absorbed into the sum
-            z = (u + 2j * a * X) ** -2
-            acc = mp.mpc(0)
-            zp = mp.mpc(1)
-            u2 = u * u
-            up = mp.mpf(1)  # u^(2n-2)
-            for i, bn in enumerate(bs):
-                zp *= z
-                if i > 0:
-                    up *= u2
-                acc += bn * up * zp
-            return (a * X / mp.pi) * abs(acc)
 
-        tail = integrate_finite(tail_integrand, 0, 1, ctx)
-        # sanity: tail must sit below its term-wise majorant
-        majorant = (a / mp.pi) * mp.fsum(
-            abs(bn) * (2 * a * X) ** (-(2 * n)) * X / (2 * n - 1)
-            for n, bn in enumerate(bs, start=1)
-        )
-        if tail.value > majorant * (1 + mp.mpf("1e-6")) + tail.err:
-            raise RuntimeError("tail integral exceeds its majorant; inconsistent state")
-        value = 2 * (head.value + tail.value)
-        return ErrBounded(value, 2 * (head.err + tail.err))
+def _l1_quadrature(a, bs, X, ctx: PrecisionContext, shift) -> ErrBounded:
+    """:func:`l1_norm` of ``bs`` past the tail start ``X``, scaled by 2^-shift."""
+    head = integrate_finite(lambda x: _modulus_mp(a, bs, x), 0, X, ctx)
+    # |f(X/u)| * X/u^2; the Gauss nodes never reach u = 0
+    tail = integrate_finite(lambda u: _modulus_mp(a, bs, X / u) * X / (u * u), 0, 1, ctx)
+    # sanity: tail must sit below its term-wise majorant
+    majorant = (a / mp.pi) * mp.fsum(
+        abs(bn) * (2 * a * X) ** (-(2 * n)) * X / (2 * n - 1)
+        for n, bn in enumerate(bs, start=1)
+    )
+    if tail.value > majorant * (1 + mp.mpf("1e-6")) + tail.err:
+        raise RuntimeError("tail integral exceeds its majorant; inconsistent state")
+    return ErrBounded(mp.ldexp(2 * (head.value + tail.value), -shift),
+                      mp.ldexp(2 * (head.err + tail.err), -shift))
 
 
 def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, coeffs, ctx: PrecisionContext):
@@ -289,11 +284,12 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
         neg_mass = max(neg_mass, mp.mpf(0))
 
         l1 = l1_norm(p, ctx)
-        if l1.value <= 10 * (l1.err + round_eps):
+        if l1.value <= 10 * (l1.err + l1.value * round_eps):
             raise DegenerateError("L^1 norm is numerically zero")
 
         if A is INF:
-            tol_class = max(mp.mpf(ctx.target_abs_err), round_eps)
+            # relative to the norm, as the reward is
+            tol_class = l1.value * max(mp.mpf(ctx.target_abs_err), round_eps)
             if pos_mass > tol_class:
                 raise NotInClassError(
                     "profile has positive mass %s on the positive axis" % pos_mass

@@ -4,7 +4,8 @@ Three primitives, all operating on mpmath scalars at a precision fixed by a
 :class:`PrecisionContext`, with explicit absolute-error radii where a
 result is not exact:
 
-* adaptive Gauss-Legendre quadrature on finite intervals,
+* adaptive 24-point Gauss-Legendre quadrature on finite intervals, each
+  panel checked against the sum over its halves,
 * closed-form antiderivatives of ``u^m * exp(lam*u)``,
 * exact isolation of the sign changes of odd-power polynomials (Sturm
   sequences in rational arithmetic, no sampling) and bracketed 1-D
@@ -50,7 +51,7 @@ __all__ = [
     "maximize_scalar",
 ]
 
-_GL_ORDER = 24          # base panel order; error estimated against order 2x
+_GL_ORDER = 24          # panel order; error estimated against the two halves
 _MAX_COARSE = 48        # coarse bracket scan of maximize_scalar
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
@@ -174,11 +175,11 @@ def gauss_legendre(order: int, dps: int):
     return tuple(pairs)
 
 
-def _panel(f, lo, hi, order, dps):
+def _panel(f, lo, hi, dps):
     mid = (lo + hi) / 2
     half = (hi - lo) / 2
     acc = mp.mpf(0)
-    for x, w in gauss_legendre(order, dps):
+    for x, w in gauss_legendre(_GL_ORDER, dps):
         acc += w * (f(mid + half * x) + f(mid - half * x))
     return acc * half
 
@@ -186,34 +187,38 @@ def _panel(f, lo, hi, order, dps):
 def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
     """Adaptive panel quadrature of a continuous ``f`` on [a, b].
 
-    Each panel is estimated with Gauss-Legendre of order 24 and 48 points;
-    the difference is the panel's error estimate, and panels that miss their
-    width-proportional share of ``ctx.target_abs_err`` are bisected.  Raises
+    Every panel carries its 24-point Gauss-Legendre value; the rule on its
+    two halves gives the panel's estimate, and the distance between the two
+    is its error estimate (Gander and Gautschi, BIT 40 (2000)).  Panels that
+    miss their width-proportional share of ``ctx.target_abs_err`` are
+    bisected, each half keeping its value: a call costs
+    ``24 + 48 * meta["panels"]`` evaluations of ``f``.  Raises
     :class:`Unconverged` when the bisection depth or the panel budget is
     exhausted.
     """
     with ctx.workprec():
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        a, b = mp.mpf(a), mp.mpf(b)
         if a == b:
-            return ErrBounded(mp.mpf(0), mp.mpf(0))
+            return ErrBounded(mp.mpf(0), mp.mpf(0), meta={"panels": 0})
         if a > b:
             res = integrate_finite(f, b, a, ctx)
-            return ErrBounded(-res.value, res.err)
+            return ErrBounded(-res.value, res.err, res.meta)
         total_w = b - a
         target = mp.mpf(ctx.target_abs_err)
         round_eps = mp.mpf(10) ** (-ctx.digits + 2)
-        stack = [(a, b, 0)]
+        stack = [(a, b, 0, _panel(f, a, b, ctx.digits))]
         value = mp.mpf(0)
         err = mp.mpf(0)
         panels = 0
         while stack:
-            lo, hi, depth = stack.pop()
+            lo, hi, depth, coarse = stack.pop()
             panels += 1
             if panels > _PANEL_BUDGET:
                 raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
-            coarse = _panel(f, lo, hi, _GL_ORDER, ctx.digits)
-            fine = _panel(f, lo, hi, 2 * _GL_ORDER, ctx.digits)
+            mid = (lo + hi) / 2
+            left = _panel(f, lo, mid, ctx.digits)
+            right = _panel(f, mid, hi, ctx.digits)
+            fine = left + right
             e = abs(fine - coarse)
             # second test: splitting cannot beat the working-precision
             # roundoff of the panel sums themselves, so stop there (the
@@ -227,10 +232,9 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
                     % (depth, lo, hi)
                 )
             else:
-                mid = (lo + hi) / 2
-                stack.append((lo, mid, depth + 1))
-                stack.append((mid, hi, depth + 1))
-        return ErrBounded(value, err)
+                stack.append((lo, mid, depth + 1, left))
+                stack.append((mid, hi, depth + 1, right))
+        return ErrBounded(value, err, meta={"panels": panels})
 
 
 def poly_exp_antiderivative(m: int, lam, u):

@@ -56,6 +56,15 @@ LOWER_EVAL_REPORT = """\
 }
 """
 
+# (value, err, l1_norm, l1_err) of ``lower-eval --A k --digits 40`` for the
+# shipped penalties other than 1, which LOWER_EVAL_REPORT pins in full
+LOWER_EVAL_PINS = {
+    "1/4": ("1.317060743510269539053461", "3.0697e-32", "0.999999161328282", "2.31072e-32"),
+    "1/3": ("1.27722538911180013402306", "1.85382e-32", "1.00000671334217", "1.43145e-32"),
+    "1/2": ("1.221120473792043987718743", "8.81117e-33", "0.999990417366094", "7.01557e-33"),
+    "3": ("1.060820551470143623623494", "2.08912e-32", "0.999986592522738", "1.94932e-32"),
+}
+
 UPPER_EVAL_REPORT = """\
 {
   "penalty": "3",
@@ -100,6 +109,14 @@ def test_lower_eval_reference(capsys, monkeypatch):
     lo = rep["certified_lower_bound"]
     assert float(lo) <= float(rep["value"])
     assert out == LOWER_EVAL_REPORT
+
+
+@pytest.mark.parametrize("k", LOWER_EVAL_PINS)
+def test_lower_eval_pinned(capsys, k):
+    code, out, _ = run(capsys, "lower-eval", "--A", k, "--digits", "40")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["value"], rep["err"], rep["l1_norm"], rep["l1_err"]) == LOWER_EVAL_PINS[k]
 
 
 def test_lower_eval_quarter(capsys):

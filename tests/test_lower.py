@@ -108,10 +108,21 @@ def test_l1_norm_canonical(ctx40):
     assert abs(r.value - 1) <= r.err + 1e-25
 
 
-def test_l1_norm_reference_normalization(ctx40, reference):
+# quadrature panels of head and tail at 40 digits: a change to the panel
+# test or to the integrand's rounding that costs panels shows here
+L1_PANELS = {"1/4": 30, "1/3": 28, "1/2": 22, "1": 28, "3": 38}
+
+
+def test_l1_norm_reference_normalization(ctx40, reference, monkeypatch):
+    modulus_mp = lower._modulus_mp
+    calls = []
+    monkeypatch.setattr(lower, "_modulus_mp", lambda *a: calls.append(a) or modulus_mp(*a))
     for key, (_, p) in reference.items():
+        calls.clear()
         r = l1_norm(p, ctx40)
         assert abs(r.value - 1) < 1e-3, key
+        # 24 + 48 * panels evaluations for each of head and tail
+        assert len(calls) == 48 + 48 * L1_PANELS[key], key
 
 
 def _sign_changes(p, lo, ctx):
@@ -198,9 +209,10 @@ def test_reward_close_root_pair_matches_exact_roots(ctx40, pair, penalty):
 
 def test_reward_not_in_class(ctx40):
     # positive profile mass on the positive axis is rejected at infinite penalty
-    p = LowerParams(a="1", c="1", b=("-2",))
-    with pytest.raises(NotInClassError):
-        reward(p, INF, ctx40)
+    # the same profile scaled down is held to the same bar
+    for b in ("-2", "-2e-200"):
+        with pytest.raises(NotInClassError):
+            reward(LowerParams(a="1", c="1", b=(b,)), INF, ctx40)
 
 
 def test_reward_scale_invariance(ctx40, reference):
@@ -209,6 +221,18 @@ def test_reward_scale_invariance(ctx40, reference):
     r1 = reward(p, "1/2", ctx40)
     r2 = reward(scaled, "1/2", ctx40)
     assert abs(r1.value - r2.value) < 1e-25
+
+
+def test_reward_tiny_coefficients(ctx40):
+    # the reward does not depend on the scale of b, so b = 1e-200 is legal
+    # and gives the reward of b = 1 with the same radius (the degeneracy
+    # check and the L^1 accuracy are relative)
+    one = reward(LowerParams(a="1", c="0.5", b=("1",)), "1", ctx40)
+    tiny = reward(LowerParams(a="1", c="0.5", b=("1e-200",)), "1", ctx40)
+    with ctx40.workprec():
+        assert abs(one.value - mp.mpf("-1.64872127070012814")) < 1e-17
+        assert abs(tiny.value - one.value) <= tiny.err + one.err
+        assert abs(tiny.err / one.err - 1) < 1e-6
 
 
 def test_reward_monotone_in_penalty(ctx40):

@@ -56,6 +56,17 @@ def test_integrate_reversed_orientation(ctx40):
     assert abs(fwd.value + rev.value) < 1e-30
 
 
+def test_integrate_finite_evaluation_count(ctx40):
+    # one 24-point rule: the whole interval once, then both halves of every
+    # panel, whose values become the children's estimates
+    calls = []
+    r = integrate_finite(lambda t: calls.append(t) or 1 / (1 + 25 * t * t), -1, 1, ctx40)
+    assert r.meta["panels"] > 1
+    assert len(calls) == 24 + 48 * r.meta["panels"]
+    with ctx40.workprec():
+        assert abs(r.value - 2 * mp.atan(5) / 5) <= r.err + mp.mpf("1e-35")
+
+
 def test_integrate_unconverged_on_cusp(ctx40):
     # infinite-derivative cusp cannot meet a 1e-30 goal within the depth budget
     with pytest.raises(Unconverged):
