@@ -8,10 +8,13 @@ of the truncated/tail prime-power sum identity
     (1/2pi) sum_{2<=n<m} Lambda(n)/sqrt(n) g(log n / 2pi)
         = int_0^{log m / 2pi} g(t) e^{pi t} dt + O((||g||_1 + ||g'||_1) log^2 m).
 
-All primality decisions are deterministic for 64-bit inputs (Miller-Rabin
-with the standard 12-witness set); sieves are segmented numpy Eratosthenes.
-Scan ratios are computed at 30 decimal digits to keep log precision out of
-the margins.
+Primes come from segmented numpy sieves of Eratosthenes.  Quadratic
+symbols come from quadratic reciprocity, one Legendre table of the squares
+mod l per small prime l, applied to a whole block of primes at once;
+Miller-Rabin (deterministic for 64-bit inputs, standard 12-witness set)
+remains only for the scalar checks and for growing the list of small primes.
+Scan ratios are computed at 30 decimal digits (103 bits, round-nearest) at
+the ``mpmath.libmp`` level, to keep log precision out of the margins.
 
 The comparator constants bound limsups; no finite scan can confirm or
 refute them.  Scans therefore take an explicit key range and report
@@ -28,13 +31,13 @@ from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, mpf_pow_int, to_str
 
 __all__ = [
     "NtRecord",
     "ScanSummary",
     "PrimeSumReport",
     "is_prime_u64",
-    "jacobi",
     "least_qnr",
     "least_prime_qr",
     "primes_upto",
@@ -48,7 +51,8 @@ __all__ = [
     "COMPARATORS",
 ]
 
-_RATIO_DPS = 30
+# 30 decimal digits, the precision mp.workdps(30) sets
+_RATIO_PREC = 103
 
 # smallest keys at which the desk ratios drop below the asymptotic
 # comparators; see the module docstring.  For prime-qr the last prime up to
@@ -87,24 +91,6 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-def jacobi(n: int, m: int) -> int:
-    """Jacobi symbol (n|m) for odd positive m, via binary reciprocity."""
-    if m <= 0 or m % 2 == 0:
-        raise ValueError("modulus must be odd and positive")
-    n %= m
-    result = 1
-    while n:
-        while n % 2 == 0:
-            n //= 2
-            if m % 8 in (3, 5):
-                result = -result
-        n, m = m, n
-        if n % 4 == 3 and m % 4 == 3:
-            result = -result
-        n %= m
-    return result if m == 1 else 0
-
-
 _SMALL_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
@@ -123,29 +109,48 @@ def _check_odd_prime(p: int):
         raise ValueError("%r is not an odd prime" % (p,))
 
 
+def _least_prime_with_symbol(ps: np.ndarray, want: int) -> np.ndarray:
+    """For each odd prime p of ``ps``, the least prime l with (l|p) == want.
+
+    (2|p) is +1 exactly when p = +-1 (mod 8).  For odd l != p, reciprocity
+    gives (l|p) = (p mod l | l), negated when l = p = 3 (mod 4); (p mod l | l)
+    is read from the table of squares mod l.  Only the primes still
+    unresolved are carried to the next l.
+    """
+    ps = np.asarray(ps)
+    out = np.empty(ps.shape, dtype=np.int64)
+    r8 = ps % 8
+    two = ((r8 == 1) | (r8 == 7)) == (want == 1)
+    out[two] = 2
+    left = np.nonzero(~two)[0]
+    i = 1
+    while left.size:
+        ell = _small_prime(i)
+        p = ps[left]
+        table = np.full(ell, -1, dtype=np.int8)
+        table[np.arange(ell) ** 2 % ell] = 1
+        table[0] = 0
+        sym = table[(p % ell).astype(np.intp, copy=False)]
+        if ell % 4 == 3:
+            sym = np.where(p % 4 == 3, -sym, sym)
+        hit = sym == want
+        out[left[hit]] = ell
+        left = left[~hit]
+        i += 1
+    return out
+
+
 def least_qnr(p: int) -> int:
     """Least quadratic non-residue modulo an odd prime (always prime itself,
     so only primes are tried)."""
     _check_odd_prime(p)
-    i = 0
-    while True:
-        q = _small_prime(i)
-        if q >= p:
-            raise ArithmeticError("no non-residue below p; p is not prime")
-        if jacobi(q, p) == -1:
-            return q
-        i += 1
+    return int(_least_prime_with_symbol(np.array([p]), -1)[0])
 
 
 def least_prime_qr(p: int) -> int:
     """Least prime that is a quadratic residue modulo an odd prime."""
     _check_odd_prime(p)
-    i = 0
-    while True:
-        q = _small_prime(i)
-        if jacobi(q, p) == 1:
-            return q
-        i += 1
+    return int(_least_prime_with_symbol(np.array([p]), 1)[0])
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -164,21 +169,19 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
     """Yield primes in [lo, hi) as numpy blocks, bounded memory."""
     lo = max(lo, 2)
     base = primes_upto(int(math.isqrt(max(hi - 1, 4))) + 1)
-    start = lo
-    while start < hi:
+    for start in range(lo, hi, block):
         stop = min(start + block, hi)
         seg = np.ones(stop - start, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             if p * p >= stop:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             seg[first - start :: p] = False
         if start <= 1:
             seg[: 2 - start] = False
-        idx = np.nonzero(seg)[0]
-        yield (idx + start).astype(np.int64)
-        start = stop
+        primes = np.flatnonzero(seg).astype(np.int64, copy=False) + start
+        del seg  # the flags are not held while the caller works on the block
+        yield primes
 
 
 def totient(q: int) -> int:
@@ -212,7 +215,7 @@ class NtRecord:
             key = "%d mod %d" % self.key
         else:
             key = str(self.key)
-        return "%s,%d,%s" % (key, self.value, mp.nstr(self.ratio, 20))
+        return "%s,%d,%s" % (key, self.value, to_str(self.ratio._mpf_, 20))
 
 
 @dataclass
@@ -251,9 +254,17 @@ class ScanSummary:
 COMPARATORS = {"qnr": 0.7615, "prime-qr": 0.7615, "ap": 8.0 / 9.0}
 
 
-def _ratio_log2(value: int, key: int):
-    with mp.workdps(_RATIO_DPS):
-        return mp.mpf(value) / mp.log(key) ** 2
+def _log_squared(n: int, scale: int = 1):
+    """(scale * log n)^2 as a raw libmp mpf at 30 digits, round-nearest."""
+    x = mpf_log(from_int(n), _RATIO_PREC, "n")
+    if scale != 1:
+        x = mpf_mul(from_int(scale), x, _RATIO_PREC, "n")
+    return mpf_pow_int(x, 2, _RATIO_PREC, "n")
+
+
+def _ratio(value: int, denom) -> mp.mpf:
+    """value / denom at 30 digits, round-nearest, for a raw mpf ``denom``."""
+    return mp.make_mpf(mpf_div(from_int(value), denom, _RATIO_PREC, "n"))
 
 
 def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
@@ -266,11 +277,11 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
     those of the whole range.
     """
     if kind in ("qnr", "prime-qr"):
-        fn = least_qnr if kind == "qnr" else least_prime_qr
+        want = -1 if kind == "qnr" else 1
         for block in segmented_primes(max(lo, 3), hi + 1):
-            for p in block.tolist():
-                v = fn(p)
-                yield NtRecord(key=p, value=v, ratio=_ratio_log2(v, p))
+            values = _least_prime_with_symbol(block, want)
+            for p, v in zip(block.tolist(), values.tolist()):
+                yield NtRecord(key=p, value=v, ratio=_ratio(v, _log_squared(p)))
     elif kind == "ap":
         yield from _scan_ap(max(lo, 1), hi)
     else:
@@ -280,30 +291,27 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
 def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
     # It is known that P(a,q) < (phi(q) log q)^2 for q > 3 at these scales;
     # the shared prime pool is sized from that with headroom.
-    worst = max((totient(q) * math.log(q)) ** 2 for q in range(max(q_lo, 4), q_hi + 1))
+    worst = max(((totient(q) * math.log(q)) ** 2 for q in range(max(q_lo, 4), q_hi + 1)), default=0)
     pool = primes_upto(int(worst * 1.5) + 1000)
     chunk = 20_000
     for q in range(q_lo, q_hi + 1):
         if q == 1:
-            yield NtRecord(key=(0, 1), value=2, ratio=mp.mpf(2) / mp.log(2) ** 2)
+            yield NtRecord(key=(0, 1), value=2, ratio=_ratio(2, _log_squared(2)))
             continue
-        phi_q = totient(q)
-        first_hit: dict[int, int] = {}
+        coprime = np.gcd(np.arange(q), q) == 1
+        # pool index of the first prime in each residue class, pool.size if none
+        first = np.full(q, pool.size, dtype=np.int64)
         for start in range(0, pool.size, chunk):
             block = pool[start : start + chunk]
-            uniq, idx = np.unique(block % q, return_index=True)
-            for r, i in zip(uniq.tolist(), idx.tolist()):
-                if r not in first_hit and math.gcd(r, q) == 1:
-                    first_hit[r] = int(block[i])
-            if len(first_hit) >= phi_q:
+            np.minimum.at(first, block % q, np.arange(start, start + block.size))
+            if (first[coprime] < pool.size).all():
                 break
-        if len(first_hit) < phi_q:
+        else:
             raise LookupError("prime pool too small for modulus %d" % q)
-        with mp.workdps(_RATIO_DPS):
-            denom = (mp.mpf(phi_q) * mp.log(q)) ** 2
-            for a in sorted(first_hit):
-                p = first_hit[a]
-                yield NtRecord(key=(a, q), value=p, ratio=mp.mpf(p) / denom)
+        denom = _log_squared(q, int(np.count_nonzero(coprime)))
+        residues = np.nonzero(coprime)[0]
+        for a, p in zip(residues.tolist(), pool[first[residues]].tolist()):
+            yield NtRecord(key=(a, q), value=p, ratio=_ratio(p, denom))
 
 
 def summarize(records: Iterator[NtRecord], kind: str) -> ScanSummary:

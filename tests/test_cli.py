@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -419,6 +420,34 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sha256, rows", [
+    (("--kind", "qnr", "--max-p", "100000"),
+     "452062419df350a2f87cfc20a30d2c4abf8e26226ddd48c15b71572b7458df68", 9588),
+    (("--kind", "ap", "--min-q", "2", "--max-q", "200"),
+     "b1445fcb65fad7c1c2f8950b5d69e267a5d4086d33c8dde2a925c8f9b30467bf", 12231),
+])
+def test_nt_csv_pinned(capsys, tmp_path, argv, sha256, rows):
+    # the whole CSV, every ratio digit included, as the per-record scans
+    # (Miller-Rabin per prime, mp.workdps per ratio, a sort per ap block) wrote
+    # it before the block kernel and the libmp ratios replaced them
+    out_file = tmp_path / "recs.csv"
+    code, out, _ = run(capsys, "nt", *argv, "--out", str(out_file))
+    assert code == 0
+    data = out_file.read_bytes()
+    assert data.count(b"\n") == rows + 1
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_nt_ap_moduli_below_four(capsys, tmp_path):
+    out_file = tmp_path / "recs.csv"
+    code, out, _ = run(capsys, "nt", "--kind", "ap", "--min-q", "1", "--max-q", "3",
+                       "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out)["count"] == 4
+    rows = [line.split(",")[:2] for line in out_file.read_text().splitlines()[1:]]
+    assert rows == [["0 mod 1", "2"], ["1 mod 2", "3"], ["1 mod 3", "7"], ["2 mod 3", "2"]]
 
 
 def test_nt_prime_qr_default_floor(capsys):

@@ -8,6 +8,25 @@ from hypothesis import given, settings, strategies as st
 from fel import nt
 
 
+def jacobi(n: int, m: int) -> int:
+    """Jacobi symbol (n|m) for odd positive m, via binary reciprocity: the
+    scalar oracle for the block kernel ``nt._least_prime_with_symbol``."""
+    if m <= 0 or m % 2 == 0:
+        raise ValueError("modulus must be odd and positive")
+    n %= m
+    result = 1
+    while n:
+        while n % 2 == 0:
+            n //= 2
+            if m % 8 in (3, 5):
+                result = -result
+        n, m = m, n
+        if n % 4 == 3 and m % 4 == 3:
+            result = -result
+        n %= m
+    return result if m == 1 else 0
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
     for n in range(-3, 42):
@@ -30,14 +49,14 @@ def test_is_prime_small_witness_limit():
 
 
 def test_jacobi_examples():
-    assert nt.jacobi(2, 7) == 1    # 3^2 = 2 mod 7
-    assert nt.jacobi(1, 15) == 1
-    assert nt.jacobi(3, 7) == -1   # residues mod 7 are {1, 2, 4}
-    assert nt.jacobi(7, 21) == 0
+    assert jacobi(2, 7) == 1    # 3^2 = 2 mod 7
+    assert jacobi(1, 15) == 1
+    assert jacobi(3, 7) == -1   # residues mod 7 are {1, 2, 4}
+    assert jacobi(7, 21) == 0
     with pytest.raises(ValueError):
-        nt.jacobi(3, 10)
+        jacobi(3, 10)
     with pytest.raises(ValueError):
-        nt.jacobi(3, -7)
+        jacobi(3, -7)
 
 
 @settings(max_examples=200, deadline=None)
@@ -46,7 +65,7 @@ def test_jacobi_examples():
        st.integers(min_value=0, max_value=400))
 def test_jacobi_multiplicative(n1, n2, midx):
     m = 2 * midx + 3
-    assert nt.jacobi(n1 * n2, m) == nt.jacobi(n1, m) * nt.jacobi(n2, m)
+    assert jacobi(n1 * n2, m) == jacobi(n1, m) * jacobi(n2, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -57,7 +76,7 @@ def test_euler_jacobi_consistency(n, pidx):
     if p == 2:
         return
     euler = pow(n, (p - 1) // 2, p)
-    sym = nt.jacobi(n, p)
+    sym = jacobi(n, p)
     assert sym == (1 if euler == 1 else (-1 if euler == p - 1 else 0))
 
 
@@ -91,8 +110,20 @@ def test_least_prime_qr_examples():
         r = nt.least_prime_qr(p)
         for block in nt.segmented_primes(2, r):
             for q in block.tolist():
-                assert nt.jacobi(q, p) != 1
-        assert nt.jacobi(r, p) == 1
+                assert jacobi(q, p) != 1
+        assert jacobi(r, p) == 1
+
+
+@pytest.mark.parametrize("want", [-1, 1])
+def test_least_prime_with_symbol_oracle(want):
+    # the block kernel equals a scalar search over Jacobi symbols for every
+    # odd prime below 2e5; for p = 3 and 5 the least prime residue exceeds p
+    ps = nt.primes_upto(200_000)[1:]
+    small = nt.primes_upto(10_000).tolist()
+    expect = [next(ell for ell in small if jacobi(ell, p) == want) for p in ps.tolist()]
+    assert nt._least_prime_with_symbol(ps, want).tolist() == expect
+    if want == 1:
+        assert expect[:2] == [7, 11]
 
 
 def test_least_prime_in_ap_examples():
@@ -138,6 +169,22 @@ def test_scan_qnr_small():
 def test_scan_chunk_determinism():
     whole = list(nt.scan("qnr", 11, 20_000))
     assert list(nt.scan("qnr", 11, 7_000)) + list(nt.scan("qnr", 7_001, 20_000)) == whole
+
+
+def test_scan_ap_chunk_determinism():
+    whole = list(nt.scan("ap", 4, 120))
+    assert list(nt.scan("ap", 4, 60)) + list(nt.scan("ap", 61, 120)) == whole
+
+
+def test_scan_ap_modulus_one_at_30_digits():
+    # the q = 1 record, 2 / log^2 2, carries the 30-digit ratio of every
+    # other record
+    [rec] = nt.scan("ap", 1, 1)
+    assert (rec.key, rec.value) == ((0, 1), 2)
+    with mp.workdps(50):
+        ref = mp.mpf(2) / mp.log(2) ** 2
+        assert abs(rec.ratio - ref) < mp.mpf(10) ** -29
+    assert rec.csv_row() == "0 mod 1,2,4.1627379620112155957"
 
 
 def test_scan_ap_small():
