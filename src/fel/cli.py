@@ -87,6 +87,13 @@ def _config_defaults(ns) -> dict:
     return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
+def _int_option(ns, key, default: int) -> int:
+    """The integer option ``key``, or ``default`` when it is not set (an
+    explicit 0 is kept, so the command can refuse it)."""
+    value = ns.get(key)
+    return default if value is None else int(value)
+
+
 def _lower_params(ns) -> lower.LowerParams:
     if ns.get("params"):
         return lower.LowerParams.from_json(_load_json_file(ns["params"]))
@@ -174,16 +181,13 @@ def cmd_search(ns) -> int:
         raise _CliError("--A is required")
     penalty = as_penalty(ns["A"])
     cfg = search.SearchConfig(
-        seed=int(ns.get("seed") or 0),
-        n_max=int(ns.get("N") or 8),
-        restarts=int(ns.get("restarts") or 8),
-        budget=int(ns.get("budget") or 100_000),
+        seed=_int_option(ns, "seed", 0),
+        n_max=_int_option(ns, "N", 8),
+        restarts=_int_option(ns, "restarts", 8),
+        budget=_int_option(ns, "budget", 100_000),
     )
     if problem == "lower":
-        if penalty is lower.INF:
-            n_terms = int(ns.get("N") or 1)
-        else:
-            n_terms = int(ns.get("N") or 8)
+        n_terms = _int_option(ns, "N", 1 if penalty is lower.INF else 8)
         params, bound = search.optimize_lower(penalty, n_terms, cfg, ctx,
                                               transcript_path=ns.get("transcript"))
         payload = {
@@ -256,7 +260,7 @@ def cmd_bounds(ns) -> int:
 
 def cmd_plot_data(ns) -> int:
     figure = ns.get("figure")
-    samples = int(ns.get("samples") or 0)
+    samples = _int_option(ns, "samples", 0)
     if samples < 1:
         raise _CliError("--samples must be >= 1")
     rng = ns.get("range") or []
@@ -283,15 +287,17 @@ def cmd_nt(ns) -> int:
     kind = ns.get("kind")
     out = ns.get("out")
     if kind in ("qnr", "prime-qr"):
-        lo = int(ns.get("min_p") or nt.DEFAULT_SCAN_FLOORS[kind])
-        hi = int(ns.get("max_p") or 10**6)
+        lo = _int_option(ns, "min_p", nt.DEFAULT_SCAN_FLOORS[kind])
+        hi = _int_option(ns, "max_p", 10**6)
         records = nt.scan(kind, lo, hi)
     elif kind == "ap":
-        lo = int(ns.get("min_q") or nt.DEFAULT_SCAN_FLOORS["ap"])
-        hi = int(ns.get("max_q") or 500)
+        lo = _int_option(ns, "min_q", nt.DEFAULT_SCAN_FLOORS["ap"])
+        hi = _int_option(ns, "max_q", 500)
         records = nt.scan("ap", lo, hi)
     elif kind == "prime-sum":
-        m = int(ns.get("m") or 10**6)
+        m = _int_option(ns, "m", 10**6)
+        if m < 3:
+            raise _CliError("--m must be >= 3")  # the bump below needs log m > 0
         cut = mp.log(m) / (2 * mp.pi)
         g = nt.raised_cosine_bump(0.05 * float(cut), 0.95 * float(cut))
         report = nt.prime_sum_check(m, g)

@@ -28,7 +28,6 @@ constant is defined as a supremum over a class containing this family.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -103,13 +102,6 @@ class LowerParams:
     @classmethod
     def from_json(cls, obj: dict) -> "LowerParams":
         return cls(a=Decimal(obj["a"]), c=Decimal(obj["c"]), b=tuple(Decimal(x) for x in obj["b"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "LowerParams":
-        return cls.from_json(json.loads(s))
 
 
 def _odd_coeffs(bs):

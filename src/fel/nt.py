@@ -8,11 +8,14 @@ of the truncated/tail prime-power sum identity
     (1/2pi) sum_{2<=n<m} Lambda(n)/sqrt(n) g(log n / 2pi)
         = int_0^{log m / 2pi} g(t) e^{pi t} dt + O((||g||_1 + ||g'||_1) log^2 m).
 
-Primes come from segmented numpy sieves of Eratosthenes.  Quadratic
-symbols come from quadratic reciprocity, one Legendre table of the squares
-mod l per small prime l, applied to a whole block of primes at once;
-Miller-Rabin (deterministic for 64-bit inputs, standard 12-witness set)
-remains only for the scalar checks and for growing the list of small primes.
+Primes come from numpy sieves of Eratosthenes: segmented ones for the
+scanned keys, and one module-level pool, a prefix of the primes that is
+sieved again to twice its last prime whenever a caller asks for more primes
+than it holds, for the small primes l of the symbol tables and the first
+hits of the arithmetic progressions.  Quadratic symbols come from quadratic
+reciprocity, one Legendre table of the squares mod l per small prime l,
+applied to a whole block of primes at once.  Miller-Rabin (deterministic for
+64-bit inputs, standard 12-witness set) only validates scalar inputs.
 Scan ratios are computed at 30 decimal digits (103 bits, round-nearest) at
 the ``mpmath.libmp`` level, to keep log precision out of the margins.
 
@@ -42,7 +45,6 @@ __all__ = [
     "least_prime_qr",
     "primes_upto",
     "segmented_primes",
-    "totient",
     "scan",
     "summarize",
     "raised_cosine_bump",
@@ -91,19 +93,6 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-_SMALL_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def _small_prime(i: int) -> int:
-    """i-th prime (0-based), growing the cached list on demand."""
-    while i >= len(_SMALL_PRIMES):
-        cand = _SMALL_PRIMES[-1] + 2
-        while not is_prime_u64(cand):
-            cand += 2
-        _SMALL_PRIMES.append(cand)
-    return _SMALL_PRIMES[i]
-
-
 def _check_odd_prime(p: int):
     if p < 3 or not is_prime_u64(p):
         raise ValueError("%r is not an odd prime" % (p,))
@@ -125,7 +114,7 @@ def _least_prime_with_symbol(ps: np.ndarray, want: int) -> np.ndarray:
     left = np.nonzero(~two)[0]
     i = 1
     while left.size:
-        ell = _small_prime(i)
+        ell = int(_first_primes(i + 1)[i])
         p = ps[left]
         table = np.full(ell, -1, dtype=np.int8)
         table[np.arange(ell) ** 2 % ell] = 1
@@ -165,6 +154,19 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+# a prefix of the primes, in increasing order; see _first_primes
+_pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype=np.int64)
+
+
+def _first_primes(n: int) -> np.ndarray:
+    """The first n primes, sieving the pool again to twice its last prime
+    until it holds them."""
+    global _pool
+    while _pool.size < n:
+        _pool = primes_upto(2 * int(_pool[-1]))
+    return _pool[:n]
+
+
 def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.ndarray]:
     """Yield primes in [lo, hi) as numpy blocks, bounded memory."""
     lo = max(lo, 2)
@@ -182,24 +184,6 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
         primes = np.flatnonzero(seg).astype(np.int64, copy=False) + start
         del seg  # the flags are not held while the caller works on the block
         yield primes
-
-
-def totient(q: int) -> int:
-    """Euler phi by trial-division factorization (desk-scale moduli)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    result = q
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
 
 
 @dataclass(frozen=True)
@@ -289,28 +273,25 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
 
 
 def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
-    # It is known that P(a,q) < (phi(q) log q)^2 for q > 3 at these scales;
-    # the shared prime pool is sized from that with headroom.
-    worst = max(((totient(q) * math.log(q)) ** 2 for q in range(max(q_lo, 4), q_hi + 1)), default=0)
-    pool = primes_upto(int(worst * 1.5) + 1000)
-    chunk = 20_000
     for q in range(q_lo, q_hi + 1):
         if q == 1:
             yield NtRecord(key=(0, 1), value=2, ratio=_ratio(2, _log_squared(2)))
             continue
         coprime = np.gcd(np.arange(q), q) == 1
-        # pool index of the first prime in each residue class, pool.size if none
-        first = np.full(q, pool.size, dtype=np.int64)
-        for start in range(0, pool.size, chunk):
-            block = pool[start : start + chunk]
-            np.minimum.at(first, block % q, np.arange(start, start + block.size))
-            if (first[coprime] < pool.size).all():
+        # index of the first prime in each residue class (n if none), over a
+        # prefix of the primes that starts at q primes and doubles until every
+        # coprime class has a hit
+        n = q
+        while True:
+            primes = _first_primes(n)
+            first = np.full(q, n)
+            np.minimum.at(first, primes % q, np.arange(n))
+            if (first[coprime] < n).all():
                 break
-        else:
-            raise LookupError("prime pool too small for modulus %d" % q)
+            n *= 2
         denom = _log_squared(q, int(np.count_nonzero(coprime)))
         residues = np.nonzero(coprime)[0]
-        for a, p in zip(residues.tolist(), pool[first[residues]].tolist()):
+        for a, p in zip(residues.tolist(), primes[first[residues]].tolist()):
             yield NtRecord(key=(a, q), value=p, ratio=_ratio(p, denom))
 
 
@@ -346,7 +327,6 @@ def raised_cosine_bump(lo: float, hi: float) -> Callable:
         return out
 
     g.support = (lo, hi)
-    g.l1 = width / 2.0
     g.dl1 = 2.0  # integral of |g'|: total rise+fall of a unit-amplitude bump
     return g
 

@@ -30,7 +30,6 @@ last penalty-1 ripple quoted at 1.0410 sits at ``t ~ 3.2707``.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -105,13 +104,6 @@ class UpperParams:
     @classmethod
     def from_json(cls, obj: dict) -> "UpperParams":
         return cls(penalty=Fraction(obj["A"]), knots=tuple(Decimal(t) for t in obj["T"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "UpperParams":
-        return cls.from_json(json.loads(s))
 
 
 def residual(up: UpperParams, t):
@@ -253,7 +245,7 @@ def _tail_cut(up: UpperParams, threshold):
     return mp.sqrt((C / threshold) ** 2 - 1) / 2
 
 
-def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
+def _branch_and_bound(up, t_lo, t_hi, L2, slack, target=None):
     """Max of |residual| on [t_lo, t_hi] to within ``slack`` (float grid).
 
     Second-order cell certificate: with midpoint value g, derivative g' and
@@ -261,8 +253,9 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
     by the complex Taylor bound.  Cells whose certificate stays above the
     retention level (running witness + slack, or ``target`` when given) are
     split; the rest are discarded.  Returns (witness_t, witness_value,
-    certified_sup_bound, finest_cell_width, midpoints_evaluated); ``stop_above``
-    returns early once a sample exceeds it (used by the below-threshold certifier).
+    certified_sup_bound, finest_cell_width, midpoints_evaluated).  A given
+    ``target`` also returns early once a sample exceeds it (used by the
+    below-threshold certifier).
     """
     A, knots = up.penalty, up.knots
     if t_hi <= t_lo:
@@ -283,7 +276,7 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, stop_above=None, target=None):
         if float(absg[i]) > witness_v:
             witness_v = float(absg[i])
             witness_t = float(mids[i])
-        if stop_above is not None and witness_v > stop_above:
+        if target is not None and witness_v > target:
             return witness_t, witness_v, witness_v, finest, evals
         bound = np.maximum(np.abs(g - gd * h), np.abs(g + gd * h)) + 0.5 * L2 * h * h
         level = (witness_v + slack) if target is None else target
@@ -370,7 +363,6 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
         try:
             wt, wv, cert, _, _ = _branch_and_bound(
                 up, float(t_lo), float(t_hi), float(L2), margin,
-                stop_above=float(threshold) - margin,
                 target=float(threshold) - margin,
             )
         except Unconverged:

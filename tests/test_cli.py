@@ -145,12 +145,12 @@ def test_upper_eval_zero_penalty(capsys):
 def test_params_file_round_trip(tmp_path, capsys):
     p = LowerParams(a="0.5", c="0.25", b=("-1.5", "0.125"))
     f = tmp_path / "p.json"
-    f.write_text(p.dumps())
+    f.write_text(json.dumps(p.to_json()))
     code, out, _ = run(capsys, "lower-eval", "--A", "2", "--params", str(f))
     assert code == 0
     rep = json.loads(out)
     # decimal strings survive the round trip bit-identically
-    assert rep["params"] == json.loads(p.dumps())
+    assert rep["params"] == p.to_json()
     assert LowerParams.from_json(rep["params"]) == p
 
 
@@ -458,6 +458,31 @@ def test_nt_prime_qr_default_floor(capsys):
     assert float(json.loads(out)["margin"]) > 0
     with mp.workdps(30):
         assert nt.least_prime_qr(163) / mp.log(163) ** 2 > nt.COMPARATORS["prime-qr"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--problem", "lower", "--A", "1", "--N", "1", "--budget", "50", "--restarts", "0"),
+    ("search", "--problem", "lower", "--A", "1", "--N", "0", "--budget", "50", "--restarts", "1"),
+    ("search", "--problem", "lower", "--A", "1", "--N", "1", "--budget", "0", "--restarts", "1"),
+    ("search", "--problem", "upper", "--A", "1", "--N", "1", "--budget", "0", "--restarts", "1"),
+    ("nt", "--kind", "prime-sum", "--m", "0"),
+])
+def test_explicit_zero_is_refused(capsys, argv):
+    # an explicit 0 reaches the command, it is not replaced by the default
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("--kind", "qnr", "--min-p", "0", "--max-p", "10"), 3),
+    (("--kind", "prime-qr", "--min-p", "999983", "--max-p", "0"), 0),
+    (("--kind", "ap", "--min-q", "0", "--max-q", "3"), 4),
+])
+def test_nt_explicit_zero_bounds(capsys, argv, count):
+    code, out, _ = run(capsys, "nt", *argv)
+    assert code == 0
+    assert json.loads(out)["count"] == count
 
 
 def test_nt_prime_sum(capsys):

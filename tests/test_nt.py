@@ -126,10 +126,17 @@ def test_least_prime_with_symbol_oracle(want):
         assert expect[:2] == [7, 11]
 
 
-def test_least_prime_in_ap_examples():
+@pytest.mark.parametrize("q_lo, q_hi", [
+    (4, 60),
+    # first hits past the first q primes, so each modulus's prefix doubles
+    (495, 500),
+    (1990, 1992),
+])
+def test_least_prime_in_ap_examples(q_lo, q_hi):
     # every record of the ap scan is the first prime among a, a + q, a + 2q, ...
-    recs = list(nt.scan("ap", 4, 60))
-    assert [r.key for r in recs] == [(a, q) for q in range(4, 61) for a in range(1, q) if math.gcd(a, q) == 1]
+    recs = list(nt.scan("ap", q_lo, q_hi))
+    assert [r.key for r in recs] == [(a, q) for q in range(q_lo, q_hi + 1) for a in range(1, q)
+                                     if math.gcd(a, q) == 1]
     for r in recs:
         a, q = r.key
         n = a
@@ -138,18 +145,28 @@ def test_least_prime_in_ap_examples():
         assert r.value == n, r.key
 
 
+def test_scan_ap_sieves_as_far_as_its_first_hits(monkeypatch):
+    # from its first few primes, the pool is sieved only as far as the
+    # moduli's first hits need, not to a bound guessed from q
+    sieved = []
+    real = nt.primes_upto
+
+    def primes_upto(n):
+        sieved.append(n)
+        return real(n)
+
+    monkeypatch.setattr(nt, "primes_upto", primes_upto)
+    monkeypatch.setattr(nt, "_pool", np.array([2, 3, 5, 7], dtype=np.int64))
+    largest = max(r.value for r in nt.scan("ap", 1990, 2000))
+    assert largest == 155_269
+    assert sieved and max(sieved) <= 4 * largest
+
+
 def test_primes_upto_agrees_with_segments():
     direct = nt.primes_upto(50_000)
     segs = np.concatenate(list(nt.segmented_primes(2, 50_001, block=7_000)))
     assert np.array_equal(direct, segs)
     assert direct[0] == 2 and direct[-1] == 49999
-
-
-def test_totient():
-    assert nt.totient(1) == 1
-    assert nt.totient(10) == 4
-    assert nt.totient(97) == 96
-    assert nt.totient(360) == 96
 
 
 def test_scan_qnr_small():

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -65,7 +66,7 @@ def test_params_validation():
 
 def test_params_json_round_trip(reference):
     for _, up in reference.values():
-        again = UpperParams.loads(up.dumps())
+        again = UpperParams.from_json(json.loads(json.dumps(up.to_json())))
         assert again == up
         assert [str(k) for k in again.knots] == [str(k) for k in up.knots]
 
