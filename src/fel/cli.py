@@ -3,9 +3,12 @@ data, and number-theory scans.
 
 Exit codes are stable across subcommands: 0 when the computation completed
 and is certified, 2 on domain or configuration errors, 3 when a numeric
-kernel failed to converge.  Numeric inputs are parsed from decimal/rational
-strings exactly; flag values override config-file values, whose keys must be
-options of the subcommand; FEL_DIGITS sets the default working precision.
+kernel failed to converge, and 141 (:data:`EXIT_PIPE`, the status a shell
+gives a writer that SIGPIPE ended) when the reader of stdout went away
+early, as in ``fel nt --kind qnr | head -2``; that ends with nothing on
+stderr.  Numeric inputs are parsed from decimal/rational strings exactly;
+flag values override config-file values, whose keys must be options of the
+subcommand; FEL_DIGITS sets the default working precision.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .precision import PrecisionContext, Unconverged, as_penalty
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_UNCONVERGED = 3
+EXIT_PIPE = 141
 
 _MAX_DIGITS = 100
 
@@ -405,7 +409,14 @@ def main(argv=None) -> int:
             if ns.get(k) is None:
                 ns[k] = v
     try:
-        return _COMMANDS[args.command](ns)
+        code = _COMMANDS[args.command](ns)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that to devnull (the
+        # recipe of the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except Unconverged as e:
         print("unconverged: %s" % e, file=sys.stderr)
         return EXIT_UNCONVERGED

@@ -34,6 +34,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import fone, ftwo, fzero, mpc_add_mpf, mpc_mpf_div, mpc_mul, mpc_square
+from mpmath.libmp import mpf_add, mpf_div, mpf_hypot, mpf_mul, round_nearest as _RND
 
 from .precision import (
     INF,
@@ -117,24 +119,52 @@ def _exact_odd_coeffs(p: LowerParams):
 def spectrum(p: LowerParams, t) -> object:
     """Transform profile at ``t``: g((pi*t - c)/a); zero for pi*t > c."""
     a, c, bs = p.mp_values()
+    return _profile(a, c, _odd_coeffs(bs), t)
+
+
+def _profile(a, c, coeffs, t):
+    """:func:`spectrum` from parsed ``a``, ``c`` and :func:`_odd_coeffs` ``coeffs``."""
     u = (mp.pi * mp.mpf(t) - c) / a
     if u > 0:
         return mp.mpf(0)
-    return mp.e**u * odd_poly_eval(_odd_coeffs(bs), u)
+    return mp.e**u * odd_poly_eval(coeffs, u)
 
 
 def modulus(p: LowerParams, x) -> object:
-    """|f(x)| of the underlying L^1 function: (a/pi)|sum b_n (1+2iax)^-2n|."""
+    """|f(x)| of the underlying L^1 function: (a/pi)|sum b_n (1+2iax)^-2n|.
+
+    One :func:`_modulus_kernel` evaluation at the working precision.
+    """
     a, _, bs = p.mp_values()
-    return _modulus_mp(a, bs, mp.mpf(x))
+    return mp.make_mpf(_modulus_kernel(a, bs)(mp.mpf(x)._mpf_))
 
 
-def _modulus_mp(a, bs, x):
-    w = 1 / (1 + 2j * a * x) ** 2
-    acc = 0
-    for bn in reversed(bs):  # Horner in w: sum b_n w^n = w * (b_1 + w * (b_2 + ...))
-        acc = acc * w + bn
-    return (a / mp.pi) * abs(acc * w)
+def _modulus_kernel(a, bs):
+    """The map x -> |f(x)| on raw libmp values (``mpf`` tuples in and out).
+
+    |f(x)| = (a/pi) |sum_n b_n w^n| with w = 1/(1 + 2iax)^2, by Horner in w.
+    The kernel uses the working precision current when it is built (build
+    it inside ``ctx.workprec()``), round-nearest.  Its body is the chain of
+    libmp calls that mpmath's operators make for that formula on ``mpf``
+    and ``mpc`` objects, so each value is theirs bit for bit; 2a, a/pi and
+    the tuples of ``bs`` are computed once, here.
+    """
+    prec = mp.mp.prec
+    two_a = mpf_mul(ftwo, a._mpf_, prec, _RND)
+    a_pi = mpf_div(a._mpf_, mp.pi._mpf_, prec, _RND)
+    *rest, last = [bn._mpf_ for bn in bs]
+    rest.reverse()
+    first = (mpf_add(fzero, last, prec, _RND), fzero)  # 0 * w + b_N
+
+    def kernel(x):
+        w = mpc_mpf_div(fone, mpc_square((fone, mpf_mul(two_a, x, prec, _RND)), prec, _RND), prec, _RND)
+        acc = first
+        for bn in rest:
+            acc = mpc_add_mpf(mpc_mul(acc, w, prec, _RND), bn, prec, _RND)
+        re, im = mpc_mul(acc, w, prec, _RND)
+        return mpf_mul(a_pi, mpf_hypot(re, im, prec, _RND), prec, _RND)
+
+    return kernel
 
 
 def _l1_tail_start(a, bs):
@@ -194,9 +224,16 @@ def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
 
 def _l1_quadrature(a, bs, X, ctx: PrecisionContext, shift) -> ErrBounded:
     """:func:`l1_norm` of ``bs`` past the tail start ``X``, scaled by 2^-shift."""
-    head = integrate_finite(lambda x: _modulus_mp(a, bs, x), 0, X, ctx)
-    # |f(X/u)| * X/u^2; the Gauss nodes never reach u = 0
-    tail = integrate_finite(lambda u: _modulus_mp(a, bs, X / u) * X / (u * u), 0, 1, ctx)
+    modulus_at = _modulus_kernel(a, bs)
+    prec, Xv = mp.mp.prec, X._mpf_
+    head = integrate_finite(lambda x: mp.make_mpf(modulus_at(x._mpf_)), 0, X, ctx)
+
+    def tail_integrand(u):  # |f(X/u)| * X/u^2; the Gauss nodes never reach u = 0
+        u = u._mpf_
+        fx = modulus_at(mpf_div(Xv, u, prec, _RND))
+        return mp.make_mpf(mpf_div(mpf_mul(fx, Xv, prec, _RND), mpf_mul(u, u, prec, _RND), prec, _RND))
+
+    tail = integrate_finite(tail_integrand, 0, 1, ctx)
     # sanity: tail must sit below its term-wise majorant
     majorant = (a / mp.pi) * mp.fsum(
         abs(bn) * (2 * a * X) ** (-(2 * n)) * X / (2 * n - 1)
@@ -300,8 +337,10 @@ def curve_samples(p: LowerParams, t_lo: float, t_hi: float, samples: int):
     if samples < 1:
         raise ValueError("need at least one sample")
     with mp.workdps(30):
+        a, c, bs = p.mp_values()
+        coeffs = _odd_coeffs(bs)
         out = []
         for i in range(samples):
             t = t_lo + (t_hi - t_lo) * i / max(samples - 1, 1)
-            out.append((t, float(spectrum(p, t))))
+            out.append((t, float(_profile(a, c, coeffs, t))))
         return out

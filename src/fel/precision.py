@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import fzero, ftwo, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest as _RND
 
 __all__ = [
     "INF",
@@ -175,13 +176,34 @@ def gauss_legendre(order: int, dps: int):
     return tuple(pairs)
 
 
-def _panel(f, lo, hi, dps):
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    acc = mp.mpf(0)
-    for x, w in gauss_legendre(_GL_ORDER, dps):
-        acc += w * (f(mid + half * x) + f(mid - half * x))
-    return acc * half
+def _panel(f, lo, hi, nodes, prec):
+    """24-point Gauss-Legendre value of ``f`` on [lo, hi] (``mpf`` tuples).
+
+    The sum over ``nodes`` (the raw tuples of :func:`gauss_legendre`) runs
+    on libmp values at ``prec`` bits, round-nearest: the abscissae
+    ``mid +- half*x`` and the weighted sums ``w*(f+ + f-)`` are the libmp
+    calls that mpmath's operators make for the same formula, so the value
+    is theirs bit for bit.  ``f`` maps an ``mpf`` to an ``mpf``, or to an
+    ``mpc``, whose two parts are summed alike.
+    """
+    mid = mpf_div(mpf_add(lo, hi, prec, _RND), ftwo, prec, _RND)
+    half = mpf_div(mpf_sub(hi, lo, prec, _RND), ftwo, prec, _RND)
+    re = im = fzero
+    is_complex = False
+    for x, w in nodes:
+        hx = mpf_mul(half, x, prec, _RND)
+        s = f(mp.make_mpf(mpf_add(mid, hx, prec, _RND))) + f(mp.make_mpf(mpf_sub(mid, hx, prec, _RND)))
+        if hasattr(s, "_mpc_"):
+            sr, si = s._mpc_
+            re = mpf_add(re, mpf_mul(sr, w, prec, _RND), prec, _RND)
+            im = mpf_add(im, mpf_mul(si, w, prec, _RND), prec, _RND)
+            is_complex = True
+        else:
+            re = mpf_add(re, mpf_mul(w, s._mpf_, prec, _RND), prec, _RND)
+    re = mpf_mul(re, half, prec, _RND)
+    if is_complex:
+        return mp.make_mpc((re, mpf_mul(im, half, prec, _RND)))
+    return mp.make_mpf(re)
 
 
 def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
@@ -206,7 +228,9 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
         total_w = b - a
         target = mp.mpf(ctx.target_abs_err)
         round_eps = mp.mpf(10) ** (-ctx.digits + 2)
-        stack = [(a, b, 0, _panel(f, a, b, ctx.digits))]
+        prec = mp.mp.prec
+        nodes = [(x._mpf_, w._mpf_) for x, w in gauss_legendre(_GL_ORDER, ctx.digits)]
+        stack = [(a, b, 0, _panel(f, a._mpf_, b._mpf_, nodes, prec))]
         value = mp.mpf(0)
         err = mp.mpf(0)
         panels = 0
@@ -216,8 +240,8 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
             if panels > _PANEL_BUDGET:
                 raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
             mid = (lo + hi) / 2
-            left = _panel(f, lo, mid, ctx.digits)
-            right = _panel(f, mid, hi, ctx.digits)
+            left = _panel(f, lo._mpf_, mid._mpf_, nodes, prec)
+            right = _panel(f, mid._mpf_, hi._mpf_, nodes, prec)
             fine = left + right
             e = abs(fine - coarse)
             # second test: splitting cannot beat the working-precision

@@ -38,6 +38,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, ftwo, fzero, mpc_abs, mpc_div, mpc_exp, mpc_log, mpc_mpf_div
+from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub, mpf_mul_int, round_nearest as _RND
 
 from .precision import (
     INF,
@@ -107,22 +109,60 @@ class UpperParams:
 
 
 def residual(up: UpperParams, t):
-    """The residual transform at real ``t`` (complex value).
+    """The residual transform at real ``t`` (complex value), by :func:`_residual_kernel`."""
+    return mp.make_mpc(_residual_kernel(up)(mp.mpf(t)._mpf_))
 
-    Each ``e^{(pi - 2 pi i t) T_n}`` is computed once, as in :func:`residual_np`.
+
+def _residual_kernel(up: UpperParams):
+    """The map t -> residual(t) on raw libmp values (``mpf`` tuple in, ``mpc`` tuple out).
+
+    The kernel uses the working precision current when it is built (build
+    it inside ``ctx.workprec()``), round-nearest.  Its body is the chain of
+    libmp calls that mpmath's operators make for the formula of the module
+    docstring on ``mpf`` and ``mpc`` objects, so each value is theirs bit
+    for bit.  The knots, the ``2 c_n``, ``2 pi i`` and ``log e`` are computed
+    once, here.  Each ``e^w``, ``w = (pi - 2 pi i t) T_n``, is computed once
+    per ``t``, as in :func:`residual_np`, and is what ``mpc_pow`` makes of
+    ``mp.e ** w``: ``exp(w log e)`` at ten guard bits, or ``mpc_pow`` itself
+    when ``w`` is real (at t = 0).
     """
-    t = mp.mpf(t)
-    z = mp.pi - 2j * mp.pi * t
-    d = 1 - 2j * t
-    val = 2 / d
-    ks = [mp.mpf(0)] + up.mp_knots()
-    e0 = mp.e ** (z * ks[0])
-    for n, cn in enumerate(up.coefficients()):
-        e1 = mp.e ** (z * ks[n + 1])
-        if cn != 0:
-            val -= 2 * cn * (e1 - e0) / d
-        e0 = e1
-    return val
+    prec = mp.mp.prec
+    pi = mp.pi._mpf_
+    e = (mp.e._mpf_, fzero)
+    log_e = mpc_log(e, prec + 10)
+    two_i = (fzero, ftwo)
+    two_pi_i = mpc_mul_mpf(two_i, pi, prec, _RND)
+    terms = [(T._mpf_, None if cn == 0 else mpf_mul_int(cn._mpf_, 2, prec, _RND))
+             for T, cn in zip(up.mp_knots(), up.coefficients())]
+    e_zero = mpc_pow(e, (fzero, fzero), prec, _RND)  # e^{z T_0}: z * 0 = 0 for finite z
+
+    def kernel(t):
+        z = mpc_sub((pi, fzero), mpc_mul_mpf(two_pi_i, t, prec, _RND), prec, _RND)
+        d = mpc_sub((fone, fzero), mpc_mul_mpf(two_i, t, prec, _RND), prec, _RND)
+        val = mpc_mpf_div(ftwo, d, prec, _RND)
+        e0 = e_zero
+        for T, two_c in terms:
+            w = mpc_mul_mpf(z, T, prec, _RND)
+            if w[1] == fzero:
+                e1 = mpc_pow(e, w, prec, _RND)
+            else:
+                e1 = mpc_exp(mpc_mul(log_e, w, prec + 10), prec, _RND)
+            if two_c is not None:
+                q = mpc_mul_mpf(mpc_sub(e1, e0, prec, _RND), two_c, prec, _RND)
+                val = mpc_sub(val, mpc_div(q, d, prec, _RND), prec, _RND)
+            e0 = e1
+        return val
+
+    return kernel
+
+
+def _residual_modulus(up: UpperParams):
+    """t -> |residual(t)| on ``mpf`` objects, by one :func:`_residual_kernel`.
+
+    Built, like the kernel, at the working precision of the call.
+    """
+    kernel, prec = _residual_kernel(up), mp.mp.prec
+    return lambda t: mp.make_mpf(mpc_abs(kernel(t._mpf_), prec, _RND))
 
 
 def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
@@ -218,7 +258,8 @@ def _curvature_bound(up: UpperParams):
 
 
 def _grid_curvature_bound(up: UpperParams):
-    """:func:`_curvature_bound`, once the float grid is known to stay in range.
+    """(:func:`_curvature_bound`, :func:`_mass_constant`), once the float grid
+    is known to stay in range.
 
     The grid holds each ``e^{pi T_n}``, residual terms up to the mass constant
     ``C``, derivative terms up to ``2 pi T_N`` times the larger of the two, and
@@ -229,16 +270,15 @@ def _grid_curvature_bound(up: UpperParams):
     last = up.mp_knots()[-1] if up.knots else mp.mpf(0)
     if mp.pi * last < mp.log(_FLOAT_CEILING):
         L2 = _curvature_bound(up)
-        mass = max(_mass_constant(up), mp.e ** (mp.pi * last))
-        if max(mass * (1 + 2 * mp.pi * last), L2) < _FLOAT_CEILING:
-            return L2
+        C = _mass_constant(up)
+        if max(max(C, mp.e ** (mp.pi * last)) * (1 + 2 * mp.pi * last), L2) < _FLOAT_CEILING:
+            return L2, C
     raise ValueError("knots up to %s take the float grid out of range (its constants must "
                      "stay below %s)" % (up.knots[-1], mp.nstr(_FLOAT_CEILING, 3)))
 
 
-def _tail_cut(up: UpperParams, threshold):
+def _tail_cut(C, threshold):
     """Smallest t with C / |1 - 2it| <= threshold, C the mass constant (closed form)."""
-    C = _mass_constant(up)
     threshold = mp.mpf(threshold)
     if C <= threshold:
         return mp.mpf(0)
@@ -312,9 +352,10 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
     cell midpoints evaluated (``cells``).
     """
     with ctx.workprec():
-        L2 = _grid_curvature_bound(up)
-        g0 = abs(residual(up, 0))
-        t_max = _tail_cut(up, g0 * (1 - mp.mpf("1e-6")))
+        L2, C = _grid_curvature_bound(up)
+        abs_residual = _residual_modulus(up)
+        g0 = abs_residual(mp.mpf(0))
+        t_max = _tail_cut(C, g0 * (1 - mp.mpf("1e-6")))
         last_knot = up.mp_knots()[-1] if up.knots else mp.mpf(0)
         t_max = max(t_max, last_knot + 1)
         wt, wv, cert_sup, finest, cells = _branch_and_bound(
@@ -324,9 +365,9 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
         half = max(finest, 1e-7)
         lo = max(0.0, wt - half)
         hi = min(float(t_max), wt + half)
-        polish = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
+        polish = maximize_scalar(abs_residual, lo, hi, ctx)
         value = polish.value
-        float_margin = mp.mpf("1e-13") * _mass_constant(up)
+        float_margin = mp.mpf("1e-13") * C
         # a float witness above the polished value by more than the float
         # grid's own error means the polish missed the maximum
         if value < wv - float_margin:
@@ -354,8 +395,8 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
     majorant drops under the threshold.
     """
     with ctx.workprec():
-        L2 = _grid_curvature_bound(up)
-        t_hi = _tail_cut(up, mp.mpf(threshold) * (1 - mp.mpf("1e-9")))
+        L2, C = _grid_curvature_bound(up)
+        t_hi = _tail_cut(C, mp.mpf(threshold) * (1 - mp.mpf("1e-9")))
         meta = {"t_window": (float(t_lo), float(t_hi)), "curvature": float(L2)}
         if t_hi <= t_lo:
             return True, meta
@@ -400,11 +441,12 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
             prev = float(ts[i])
         if v[-1] >= v[-2] and (not cand or ts[-1] - ts[cand[-1]] > 4 * step):
             cand.append(samples)
+        abs_residual = _residual_modulus(up)
         out = []
         for i in cand:
             lo = max(t_lo, float(ts[i]) - 2 * step)
             hi = min(t_hi, float(ts[i]) + 2 * step)
-            m = maximize_scalar(lambda t: abs(residual(up, t)), lo, hi, ctx)
+            m = maximize_scalar(abs_residual, lo, hi, ctx)
             out.append((m.meta["argmax"], m.value))
         out.sort(key=lambda p: p[0])
         merged = []

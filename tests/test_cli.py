@@ -523,6 +523,20 @@ def test_commands_other_than_upper_search_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["nt", "--kind", "qnr", "--max-p", "1000"], ["upper-eval", "--A", "1"]])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the first write, as when ``| head`` exits early
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "fel.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == cli.EXIT_PIPE
+    assert err == b""
+
+
 def test_reproduce_bounds_script_runs():
     # the headline-table script: one row per shipped penalty, and its own
     # lower <= upper and unit-L1 asserts hold (else it exits non-zero)

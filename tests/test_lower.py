@@ -19,9 +19,19 @@ from fel.lower import (
     reward,
     spectrum,
 )
-from fel.precision import integrate_finite, isolate_sign_changes, odd_poly_eval
+from fel.precision import PrecisionContext, integrate_finite, isolate_sign_changes, odd_poly_eval
 
 CANON = LowerParams(a="1", c="0", b=("-2",))
+
+
+def modulus_oracle(a, bs, x):
+    """(a/pi)|sum b_n w^n|, w = 1/(1+2iax)^2, on mpmath objects: the oracle
+    that the libmp kernel ``lower._modulus_kernel`` equals bit for bit."""
+    w = 1 / (1 + 2j * a * x) ** 2
+    acc = 0
+    for bn in reversed(bs):  # Horner in w: sum b_n w^n = w * (b_1 + w * (b_2 + ...))
+        acc = acc * w + bn
+    return (a / mp.pi) * abs(acc * w)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +114,31 @@ def test_modulus_matches_inverse_transform(ctx30, reference):
                 assert abs(abs(inv.value) - modulus(p, x)) < 1e-10
 
 
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_modulus_kernel_equals_oracle(digits, reference, monkeypatch):
+    # the kernel's mpf tuples equal the oracle's at random, negative and zero
+    # x, for the references and for both kernels of l1_norm's small-norm path,
+    # which rescales b = 1e-200 by a power of two
+    ctx = PrecisionContext.make(digits)
+    kernel, built = lower._modulus_kernel, []
+    monkeypatch.setattr(lower, "_modulus_kernel", lambda a, bs: built.append((a, bs)) or kernel(a, bs))
+    l1_norm(LowerParams(a="1", c="0", b=("1e-200",)), ctx)
+    assert len(built) == 2 and built[1][1][0] > 2**600 * built[0][1][0]
+    rng = random.Random(digits)
+    with ctx.workprec():
+        for _, p in reference.values():
+            a, _, bs = p.mp_values()
+            built.append((a, bs))
+        xs = [mp.mpf(0), mp.mpf("-0.75")] + [mp.mpf(rng.uniform(-40, 40)) / 3 for _ in range(30)]
+        for a, bs in built:
+            at = kernel(a, bs)
+            for x in xs:
+                assert at(x._mpf_) == modulus_oracle(a, bs, x)._mpf_, (a, x)
+        _, p = reference["1"]
+        a, _, bs = p.mp_values()
+        assert all(modulus(p, x)._mpf_ == modulus_oracle(a, bs, x)._mpf_ for x in xs)
+
+
 def test_l1_norm_canonical(ctx40):
     r = l1_norm(CANON, ctx40)
     assert abs(r.value - 1) <= r.err + 1e-25
@@ -115,9 +150,14 @@ L1_PANELS = {"1/4": 30, "1/3": 28, "1/2": 22, "1": 28, "3": 38}
 
 
 def test_l1_norm_reference_normalization(ctx40, reference, monkeypatch):
-    modulus_mp = lower._modulus_mp
+    kernel = lower._modulus_kernel
     calls = []
-    monkeypatch.setattr(lower, "_modulus_mp", lambda *a: calls.append(a) or modulus_mp(*a))
+
+    def counting(a, bs):
+        at = kernel(a, bs)
+        return lambda x: calls.append(x) or at(x)
+
+    monkeypatch.setattr(lower, "_modulus_kernel", counting)
     for key, (_, p) in reference.items():
         calls.clear()
         r = l1_norm(p, ctx40)
@@ -281,6 +321,8 @@ def test_curve_samples_shape(reference):
     assert curve_samples(p, 1.0, 2.0, 5) == [(1.0 + 0.25 * i, 0.0) for i in range(5)]
     with pytest.raises(ValueError):
         curve_samples(p, 0, 1, 0)
+    with mp.workdps(30):  # the samples are the profile at 30 digits
+        assert rows == [(t, float(spectrum(p, t))) for t, _ in rows]
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,10 +6,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from fel import precision
 from fel.precision import (
     ErrBounded,
     PrecisionContext,
     Unconverged,
+    gauss_legendre,
     integrate_finite,
     isolate_sign_changes,
     maximize_scalar,
@@ -65,6 +68,33 @@ def test_integrate_finite_evaluation_count(ctx40):
     assert len(calls) == 24 + 48 * r.meta["panels"]
     with ctx40.workprec():
         assert abs(r.value - 2 * mp.atan(5) / 5) <= r.err + mp.mpf("1e-35")
+
+
+def panel_oracle(f, lo, hi, dps):
+    """One Gauss-Legendre panel on mpmath objects: the oracle that the libmp
+    node sum of ``precision._panel`` equals bit for bit."""
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    acc = mp.mpf(0)
+    for x, w in gauss_legendre(precision._GL_ORDER, dps):
+        acc += w * (f(mid + half * x) + f(mid - half * x))
+    return acc * half
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_panel_equals_oracle(digits):
+    # a real and a complex integrand on panels with random ends
+    rng = random.Random(digits)
+    fs = (lambda t: mp.e ** (mp.pi * t) / (1 + t * t), lambda t: mp.e ** ((mp.pi - 2j) * t))
+    with mp.workdps(digits):
+        nodes = [(x._mpf_, w._mpf_) for x, w in gauss_legendre(precision._GL_ORDER, digits)]
+        for _ in range(10):
+            lo = mp.mpf(rng.uniform(-3, 1)) / 3
+            hi = lo + mp.mpf(rng.uniform(0.01, 2)) / 7
+            for f in fs:
+                got = precision._panel(f, lo._mpf_, hi._mpf_, nodes, mp.mp.prec)
+                want = panel_oracle(f, lo, hi, digits)
+                assert type(got) is type(want) and got == want
 
 
 def test_integrate_unconverged_on_cusp(ctx40):

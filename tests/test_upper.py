@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fel import cli, tables
+from fel import cli, tables, upper
 from fel.precision import PrecisionContext, integrate_finite
 from fel.upper import (
     UpperParams,
     _curvature_bound,
     _grid,
     _mass_constant,
+    _residual_kernel,
+    _residual_modulus,
     certify_below,
     curve_samples,
     local_maxima,
@@ -36,6 +38,23 @@ def segment_transform(coef, lo, hi, t):
     t = mp.mpf(t)
     z = mp.pi - 2j * mp.pi * t
     return 2 * coef * (mp.e ** (z * hi) - mp.e ** (z * lo)) / (1 - 2j * t)
+
+
+def residual_oracle(up, t):
+    """The residual transform on mpmath objects: the oracle that the libmp
+    kernel ``upper._residual_kernel`` equals bit for bit."""
+    t = mp.mpf(t)
+    z = mp.pi - 2j * mp.pi * t
+    d = 1 - 2j * t
+    val = 2 / d
+    ks = [mp.mpf(0)] + up.mp_knots()
+    e0 = mp.e ** (z * ks[0])
+    for n, cn in enumerate(up.coefficients()):
+        e1 = mp.e ** (z * ks[n + 1])
+        if cn != 0:
+            val -= 2 * cn * (e1 - e0) / d
+        e0 = e1
+    return val
 
 
 def tail_majorant(up, t):
@@ -105,6 +124,23 @@ def test_residual_reference_at_zero(ctx40, reference):
     _, up = reference["1"]
     with ctx40.workprec():
         assert abs(abs(residual(up, 0)) - mp.mpf("1.1473077")) < 1e-6
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_residual_kernel_equals_oracle(digits, reference):
+    # mpc tuples of the residual and mpf tuples of its modulus, at random,
+    # negative and zero t; penalty 0 skips every other term
+    rng = random.Random(digits)
+    ups = [up for _, up in reference.values()] + [UpperParams(penalty=0, knots=("0.1", "0.35", "0.5"))]
+    with mp.workdps(digits):
+        ts = [mp.mpf(0), mp.mpf("-2.5")] + [mp.mpf(rng.uniform(-10, 10)) / 3 for _ in range(20)]
+        for up in ups:
+            kernel, modulus = _residual_kernel(up), _residual_modulus(up)
+            for t in ts:
+                want = residual_oracle(up, t)
+                assert kernel(t._mpf_) == want._mpc_, (up.penalty, t)
+                assert modulus(t)._mpf_ == abs(want)._mpf_, (up.penalty, t)
+                assert residual(up, t)._mpc_ == want._mpc_
 
 
 def test_residual_hermitian_symmetry(ctx40, reference):
@@ -214,6 +250,20 @@ def test_sup_norm_pinned_digits(ctx40, certified):
         with ctx40.workprec():
             assert mp.nstr(r.value, 25) == value, key
         assert r.meta["cells"] > 0, key
+
+
+# evaluations of |residual| by the witness polish of sup_norm at 40 digits
+POLISH_EVALS = {"1/4": 174, "1/3": 174, "1/2": 175, "1": 174, "3": 174}
+
+
+def test_sup_norm_polish_evaluations(ctx40, reference, monkeypatch):
+    maximize, calls = upper.maximize_scalar, []
+    monkeypatch.setattr(upper, "maximize_scalar",
+                        lambda f, *a: maximize(lambda t: calls.append(t) or f(t), *a))
+    for key, (_, up) in reference.items():
+        calls.clear()
+        sup_norm(up, ctx40)
+        assert len(calls) == POLISH_EVALS[key], key
 
 
 def test_grid_equals_linspace():
