@@ -33,6 +33,7 @@ EXIT_UNCONVERGED = 3
 EXIT_PIPE = 141
 
 _MAX_DIGITS = 100
+_DEFAULT_SAMPLES = 2000  # plot-data curve samples
 
 
 class _CliError(ValueError):
@@ -264,7 +265,7 @@ def cmd_bounds(ns) -> int:
 
 def cmd_plot_data(ns) -> int:
     figure = ns.get("figure")
-    samples = _int_option(ns, "samples", 0)
+    samples = _int_option(ns, "samples", _DEFAULT_SAMPLES)
     if samples < 1:
         raise _CliError("--samples must be >= 1")
     rng = ns.get("range") or []
@@ -370,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", default=None)
     p.add_argument("--params", default=None)
     p.add_argument("--range", nargs=2, metavar=("LO", "HI"), default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="number of curve samples (default: %d)" % _DEFAULT_SAMPLES)
     common(p, digits=False)
 
     p = sub.add_parser("nt", help="number-theory scans and the prime-sum check")

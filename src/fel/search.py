@@ -10,9 +10,9 @@ one knot, perturb the incumbent to seed the next count, stop when two
 consecutive counts fail to improve meaningfully.
 
 Searches run on fast float evaluators (the upper one is
-:func:`fel.upper.fast_sup`); any bound that escapes this module is
-re-evaluated and certified at full working precision first.  Everything is
-deterministic given the seed.
+:func:`fel.upper.fast_sup`, the Abel-summed float residual); any bound that
+escapes this module is re-evaluated and certified at full working precision
+first.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ closed-form decreasing tail majorant, and a branch-and-bound grid over
 [0, t_max] (the modulus is even in t because the weight is real-valued); the
 witness maximum is then polished at full working precision.
 
-The float form of the residual, :func:`residual_np`, is the one numpy kernel
-behind the grid scans, the plots and the search's sup estimate
-:func:`fast_sup`.
+The float form of the residual, :func:`residual_np`, is the numpy kernel
+behind the branch-and-bound grid, the local-maxima scan and the plots.  The
+search's sup estimate :func:`fast_sup` evaluates the same residual in an
+Abel-summed form, one small complex matmul per stage.
 
 Throughout this module ``t`` is the code's frequency: the exponentials
 ``e^{(pi - 2 pi i t) T}`` above come from the transform kernel
@@ -165,6 +166,13 @@ def _residual_modulus(up: UpperParams):
     return lambda t: mp.make_mpf(mpc_abs(kernel(t._mpf_), prec, _RND))
 
 
+def _alternation(A, n: int) -> np.ndarray:
+    """The weights ``A, -1, A, -1, ...`` of ``n`` pieces, as floats."""
+    cs = np.full(n, -1.0)
+    cs[::2] = float(A)
+    return cs
+
+
 def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     """The residual at the float array ``ts`` in float64, for penalty ``A``.
 
@@ -172,7 +180,6 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     ``float`` accepts).  Each ``e^{(pi - 2 pi i t) T_n}`` is computed once
     (1 for ``T_0 = 0``).  With ``deriv`` the result is (residual, d/dt residual).
     """
-    A = float(A)
     z = 1 - 2j * ts
     w = np.pi - _TWO_PI_I * ts
     val = 2 / z
@@ -180,10 +187,9 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
         z2 = z * z
         der = 4j / z2
     e0, k0 = 1.0, 0.0
-    for n, k in enumerate(knots):
+    for k, cn in zip(knots, _alternation(A, len(knots))):
         k = float(k)
         e1 = np.exp(w * k)
-        cn = A if n % 2 == 0 else -1.0
         if cn != 0.0:
             val = val - 2 * cn * (e1 - e0) / z
             if deriv:
@@ -194,14 +200,6 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     return (val, der) if deriv else val
 
 
-def _grid(lo, hi, num: int):
-    # np.linspace(lo, hi, num, axis=-1) bit for bit, without its overhead; every caller's
-    # hi - lo is a normal positive float, so linspace's zero-step branch never applies
-    y = np.multiply.outer(np.arange(num, dtype=float), (hi - lo) / (num - 1)) + lo
-    y[-1] = hi
-    return y.T
-
-
 def fast_sup(A: float, knots: np.ndarray) -> float:
     """Float estimate of the sup-norm for the upper family (search mode).
 
@@ -209,31 +207,58 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     10 best samples in two local stages; good to ~1e-6 for candidates shaped
     like the incumbents.  This only ranks candidates: whatever leaves the
     search is re-certified by :func:`sup_norm` over the full window.  Knot
-    vectors that are not increasing and positive, or that end past 30, get
-    1e9.  Each stage is one :func:`residual_np` call on a :func:`_grid`.
+    vectors that are not increasing and positive, or that end past 30, and
+    those whose values leave the float range, get 1e9.
+
+    Abel summation of the residual's piece sum gives
+
+        residual(t) = (d_0 + sum_m d_m e^{pi T_m} e^{-i theta_m t}) / (1 - 2it),
+
+    with ``d_0 = 2 + 2 c_0``, ``d_m = 2 (c_m - c_{m-1})``, ``c_N = 0`` and
+    ``theta_m = 2 pi T_m``.  Each stage lays its points out as rows and
+    columns, ``t = lo_r + j delta``, so ``e^{-i theta t}`` factors into a
+    row and a column exponential and the sum over knots is one small complex
+    matmul (:func:`_stage`).  ``|residual|`` is even in ``t``, so the local
+    stages may reach below 0.
     """
     if knots.size and (np.any(np.diff(knots) <= 0) or knots[0] <= 0 or knots[-1] > 30):
         return 1e9
-    ks = np.concatenate([[0.0], knots])
-    cs = np.array([A if n % 2 == 0 else -1.0 for n in range(knots.size)])
+    with np.errstate(all="ignore"):
+        cs = _alternation(A, knots.size)
+        ep = np.exp(np.pi * knots)
+        weights = 2 * np.diff(cs, append=0.0) * ep
+        d0 = 2.0 + 2.0 * cs[0] if knots.size else 2.0
+        freq = -2j * np.pi * knots  # -i theta_m
+        g0 = abs(d0 + weights.sum())
+        C = 2.0 + 2.0 * float(np.abs(cs) @ (ep + np.concatenate([[1.0], ep[:-1]])))
+        if not (math.isfinite(g0) and math.isfinite(C)):
+            return 1e9
+        thr = max(g0 * 0.98, 1e-6)
+        t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
+        m = max(int(t_max / 8e-3), 200) + 1  # coarse step about 8e-3
+        step = t_max / (m - 1)
+        ts, v = _stage(d0, weights, freq, step * 64 * np.arange(-(-m // 64)), step, 64)
+        ts, v = ts.ravel()[:m], v.ravel()[:m]
+        # one row per peak, unordered: every stage takes a max over all its rows
+        c = ts[np.argpartition(v, -10)[-10:]]
+        fine, fv = _stage(d0, weights, freq, c - step, step / 20, 41)
+        c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
+        _, tv = _stage(d0, weights, freq, c - step / 20, step / 200, 21)
+        best = float(np.max([v.max(), fv.max(), tv.max()]))  # NaN propagates
+    return best if math.isfinite(best) else 1e9
 
-    def gabs(ts):
-        return np.abs(residual_np(A, knots, ts))
 
-    C = 2.0 + 2.0 * float(np.abs(cs) @ (np.exp(np.pi * ks[1:]) + np.exp(np.pi * ks[:-1]))) if knots.size else 2.0
-    g0 = float(gabs(np.array([0.0]))[0])
-    thr = max(g0 * 0.98, 1e-6)
-    t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
-    ts = _grid(0.0, t_max, max(int(t_max / 8e-3), 200) + 1)  # coarse step about 8e-3
-    v = gabs(ts)
-    step = ts[1] - ts[0]
-    # one row per peak, unordered: every stage takes a max over all its rows
-    c = ts[np.argpartition(v, -10)[-10:]]
-    fine = _grid(np.maximum(c - step, 0.0), c + step, 41)
-    fv = gabs(fine)
-    c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
-    tiny = _grid(np.maximum(c - step / 20, 0.0), c + step / 20, 21)
-    return max(float(v.max()), float(fv.max()), float(gabs(tiny).max()))
+def _stage(d0, weights, freq, lo, delta, cols: int):
+    """(t, |residual(t)|) at ``t = lo[r] + j delta``, ``j < cols``: one row per ``lo``.
+
+    ``weights`` are the ``d_m e^{pi T_m}`` and ``freq`` the ``-i theta_m`` of
+    :func:`fast_sup`.
+    """
+    offs = delta * np.arange(cols)
+    num = d0 + np.exp(np.multiply.outer(lo, freq)) @ (
+        weights[:, None] * np.exp(np.multiply.outer(freq, offs)))
+    t = lo[:, None] + offs
+    return t, np.abs(num) / np.sqrt(1.0 + 4.0 * t * t)
 
 
 def _mass_constant(up: UpperParams):

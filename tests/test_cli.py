@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -248,6 +249,16 @@ def test_plot_data_lower_family(capsys, tmp_path):
 def test_plot_data_zero_samples(capsys):
     assert run(capsys, "plot-data", "--figure", "upper", "--A", "1",
                "--samples", "0")[0] == 2
+
+
+@pytest.mark.parametrize("figure", [("upper", "--A", "1"), ("lower-family",)])
+def test_plot_data_default_samples(capsys, figure):
+    code, out, _ = run(capsys, "plot-data", "--figure", *figure)
+    assert code == 0
+    assert len(out.splitlines()) == 2001  # the header and the default 2000 samples
+    with pytest.raises(SystemExit):
+        cli.main(["plot-data", "--help"])
+    assert "(default: 2000)" in capsys.readouterr().out
 
 
 def test_nt_qnr(capsys, tmp_path):
@@ -503,6 +514,19 @@ def test_search_cli_small(capsys, tmp_path):
     up = UpperParams.from_json(rep["params"])
     assert float(rep["value"]) < 2.0  # beats the empty weight
     assert run(capsys, "search", "--problem", "upper", "--A", "bogus")[0] == 2
+
+
+def test_search_upper_overflowing_penalty(capsys):
+    # every knot vector overflows the float sup estimate at this penalty, so
+    # the search keeps the empty weight and certifies its sup 2, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "search", "--problem", "upper", "--A", "1e308",
+                             "--budget", "200")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["certified"] is True and rep["params"]["T"] == []
+    assert abs(float(rep["value"]) - 2) < 1e-6
 
 
 def test_commands_other_than_upper_search_do_not_load_scipy():

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +14,41 @@ from fel.search import (
     optimize_upper,
     praxis_minimize,
 )
-from fel.upper import fast_sup
+from fel.upper import fast_sup, residual_np
+
+
+def fast_sup_oracle(A, knots):
+    # the three-stage fast_sup before the factored form: each stage is one
+    # residual_np call on an np.linspace grid, the local ones clipped at 0
+    if knots.size and (np.any(np.diff(knots) <= 0) or knots[0] <= 0 or knots[-1] > 30):
+        return 1e9
+    ks = np.concatenate([[0.0], knots])
+    cs = np.array([A if n % 2 == 0 else -1.0 for n in range(knots.size)])
+
+    def gabs(ts):
+        return np.abs(residual_np(A, knots, ts))
+
+    C = 2.0 + 2.0 * float(np.abs(cs) @ (np.exp(np.pi * ks[1:]) + np.exp(np.pi * ks[:-1]))) if knots.size else 2.0
+    g0 = float(gabs(np.array([0.0]))[0])
+    thr = max(g0 * 0.98, 1e-6)
+    t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
+    ts = np.linspace(0.0, t_max, max(int(t_max / 8e-3), 200) + 1)
+    v = gabs(ts)
+    step = ts[1] - ts[0]
+    c = ts[np.argpartition(v, -10)[-10:]]
+    fine = np.linspace(np.maximum(c - step, 0.0), c + step, 41, axis=1)
+    fv = gabs(fine)
+    c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
+    tiny = np.linspace(np.maximum(c - step / 20, 0.0), c + step / 20, 21, axis=1)
+    return max(float(v.max()), float(fv.max()), float(gabs(tiny).max()))
+
+
+def random_knot_sets(seed, count):
+    # (penalty, knots): 1-7 knots, gaps e^U(-6, 0.8), penalties 1/4 to 3
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        A = float(rng.choice([0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0]))
+        yield A, np.cumsum(np.exp(rng.uniform(-6.0, 0.8, int(rng.integers(1, 8)))))
 
 
 def test_config_validation():
@@ -54,8 +90,7 @@ def test_praxis_budget_flag():
 def test_fast_evaluators_match_certified(ctx40):
     from fel import upper
 
-    for key in ("1/2", "3"):
-        _, up = tables.upper_reference()[key]
+    for key, (_, up) in tables.upper_reference().items():
         fv = fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
         cert = upper.sup_norm(up, ctx40)
         assert abs(fv - float(cert.value)) < 1e-6, key
@@ -136,43 +171,54 @@ def test_optimize_upper_pinned_transcript(ctx40, tmp_path):
     assert rows == [
         {"kind": "upper", "n": 0, "value": 2.0},
         {"kind": "upper", "n": 1, "value": 1.1673535082417554, "evals_used": 126},
-        {"kind": "upper", "n": 2, "value": 1.1517581223248674, "evals_used": 582},
-        {"kind": "upper-final", "value": 1.1517581223272033, "err": 1.0002705524269854e-08,
-         "knots": ["0.1388884943375406", "0.16322174082550767"]},
+        {"kind": "upper", "n": 2, "value": 1.1517581223248667, "evals_used": 594},
+        {"kind": "upper-final", "value": 1.1517581223272249, "err": 1.0002705524267933e-08,
+         "knots": ["0.1388884940903948", "0.1632217403675939"]},
     ]
 
 
 def test_fast_sup_pinned_references():
     # the float sup estimate on the shipped knot sets, exact to the last bit
-    pinned = {"1/4": 1.33508788619656, "1/3": 1.2878033230802322,
-              "1/2": 1.2307978386750977, "1": 1.147307735672915,
-              "3": 1.0623929817918238}
+    pinned = {"1/4": 1.3350878861965594, "1/3": 1.2878033230802322,
+              "1/2": 1.2307978386750966, "1": 1.147307735672915,
+              "3": 1.0623929817918274}
     for key, (_, up) in tables.upper_reference().items():
         fv = fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
         assert fv == pinned[key], key
 
 
 def test_fast_sup_pinned_random_knots():
-    # seeded random knot sets (1-7 knots, gaps e^U(-6, 0.8), penalties 1/4
-    # to 3): the float sup estimate is exact to the last bit
-    pinned = [13457.231420745098, 1.3947165793720493, 14.71210424210401,
-              4.059795036249842, 40.52617046206602, 2.1472896193707074,
-              2.035894784255792, 1.4105578804502823, 17246.030806774703,
-              1047.5186705331432, 3.5707127236684224, 5.3228416489344585]
-    rng = np.random.default_rng(8)
-    for want in pinned:
-        A = float(rng.choice([0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0]))
-        knots = np.cumsum(np.exp(rng.uniform(-6.0, 0.8, int(rng.integers(1, 8)))))
+    # seeded random knot sets: the float sup estimate is exact to the last bit
+    pinned = [13457.2314207451, 1.3947165793720488, 14.712104242104012,
+              4.059795036249843, 40.52617046206601, 2.1472896193707074,
+              2.0358947842557935, 1.4105578804502832, 17246.030806774703,
+              1047.5186705331384, 3.5707127236684233, 5.3228416489344585]
+    for want, (A, knots) in zip(pinned, random_knot_sets(8, len(pinned))):
         assert fast_sup(A, knots) == want, (A, knots)
+
+
+def test_fast_sup_equals_oracle():
+    # the factored form agrees with the residual_np stages to 1e-12 relative
+    refs = [(float(up.penalty), np.array([float(k) for k in up.knots]))
+            for _, up in tables.upper_reference().values()]
+    for A, knots in refs + list(random_knot_sets(16, 250)):
+        want = fast_sup_oracle(A, knots)
+        assert abs(fast_sup(A, knots) - want) <= 1e-12 * want, (A, knots)
 
 
 def test_fast_sup_invalid_knots():
     # no knots is the bare exponential, sup 2 at t = 0; knot vectors that
-    # are non-increasing, start at 0 or end past 30 are penalised
+    # are non-increasing, start at 0 or end past 30 are penalised, and so,
+    # without a warning, are values that leave the float range
     assert fast_sup(1.0, np.array([])) == 2.0
     for knots in ([0.5, 0.5], [0.5, 0.4], [0.0, 0.5], [-0.1, 0.5], [0.5, 30.5]):
         assert fast_sup(1.0, np.array(knots)) == 1e9, knots
     assert fast_sup(1.0, np.array([0.5, 30.0])) != 1e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fast_sup(1e308, np.array([])) == 2.0
+        assert fast_sup(1e308, np.array([0.1, 0.2])) == 1e9
+        assert fast_sup(math.inf, np.array([0.1])) == 1e9
 
 
 def test_optimize_lower_pinned_transcript(ctx40, tmp_path):

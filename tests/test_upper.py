@@ -13,7 +13,6 @@ from fel.precision import PrecisionContext, integrate_finite
 from fel.upper import (
     UpperParams,
     _curvature_bound,
-    _grid,
     _mass_constant,
     _residual_kernel,
     _residual_modulus,
@@ -264,21 +263,6 @@ def test_sup_norm_polish_evaluations(ctx40, reference, monkeypatch):
         calls.clear()
         sup_norm(up, ctx40)
         assert len(calls) == POLISH_EVALS[key], key
-
-
-def test_grid_equals_linspace():
-    # the hand-built grids of fast_sup are np.linspace bit for bit
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t_max = float(rng.uniform(0.25, 15.0))
-        n = int(rng.integers(201, 2000))
-        assert np.array_equal(_grid(0.0, t_max, n), np.linspace(0.0, t_max, n))
-        step = float(rng.uniform(1e-3, 1e-1))
-        c = rng.uniform(0.0, t_max, 10)
-        lo, hi = np.maximum(c - step, 0.0), c + step
-        for num in (41, 21):
-            got, want = _grid(lo, hi, num), np.linspace(lo, hi, num, axis=1)
-            assert np.array_equal(got, want) and got.strides == want.strides
 
 
 def test_residual_equals_segment_sum(ctx40, reference):
