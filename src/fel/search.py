@@ -9,15 +9,22 @@ parametrization with Nelder-Mead locals, iterating the knot count: start at
 one knot, perturb the incumbent to seed the next count, stop when two
 consecutive counts fail to improve meaningfully.
 
-Searches run on fast float evaluators (the upper one is
-:func:`fel.upper.fast_sup`, the Abel-summed float residual); any bound that
-escapes this module is re-evaluated and certified at full working precision
-first.  Everything is deterministic given the seed.
+Searches run on fast float evaluators.  The upper one is
+:func:`fel.upper.fast_sup`, the Abel-summed float residual.  The lower one
+takes the L^1 norm in its circle form,
+
+    ||f||_1 = (1/pi) int_0^(pi/2) |sum_n b_n v^(2n-2)| dphi,   v = (1 + e^(-2i phi)) / 2,
+
+the same for every dilation and translation, by 8 Gauss-Legendre panels,
+and the transform masses from one antiderivative polynomial.  Any bound
+that escapes this module is re-evaluated and certified at full working
+precision first.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -193,122 +200,96 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
 _GL64 = np.polynomial.legendre.leggauss(64)
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_rule(N: int):
+    """(V, wts, odd factorials) for N coefficients, built on first use.
+
+    The nodes phi_j are 8 panels of :data:`_GL64` on [0, pi/2]; ``V[0]``
+    and ``V[1]`` are the real and imaginary parts of ``v_j^(2n)`` (n from 0)
+    with ``v = (1 + e^(-2i phi)) / 2``, and ``wts`` carries the 1/pi of the
+    circle form, so ``wts @ hypot(*(V @ b))`` is ||f_b||_1.  Two real
+    mat-vecs, because OpenBLAS threads a complex one of this size and then
+    waits on its worker whenever the other cores are busy.  Built here, not
+    at import: the CLI imports this module.
+    """
+    x, w = _GL64
+    h = math.pi / 16
+    phi = ((np.arange(8)[:, None] + 0.5) * h + 0.5 * h * x).ravel()
+    v = 0.5 * (1.0 + np.exp(-2j * phi))
+    vp = np.vander(v * v, N, increasing=True)
+    V = np.stack([vp.real, vp.imag])
+    wts = np.tile(w * (0.5 * h / math.pi), 8)
+    fact = np.array([math.factorial(2 * k + 1) for k in range(N)], dtype=float)
+    for arr in (V, wts, fact):  # shared by every caller
+        arr.flags.writeable = False
+    return V, wts, fact
+
+
+def _fast_l1_norm(b: np.ndarray) -> float:
+    """Float ||f_b||_1 = (1/pi) int_0^(pi/2) |Q_b(v)| dphi, by :func:`_circle_rule`."""
+    V, wts, _ = _circle_rule(len(b))
+    return float(wts @ np.hypot(*(V @ b)))
+
+
 def _fast_lower_value(a: float, c: float, b: np.ndarray, penalty: float) -> float:
     """Float evaluation of the lower-family reward (search mode only).
 
-    Outside a generous parameter box (and on any float overflow) the value
-    is penalty-extended to -1e9, which keeps the direction-set search total.
+    The L^1 norm is the circle form ``(1/pi) int_0^(pi/2) |Q_b(v)| dphi``
+    with ``Q_b(v) = sum_n b_n v^(2n-2)`` and ``v = (1 + e^(-2i phi)) / 2``
+    (substitute ``x = tan(phi) / (2a)``), which depends on ``b`` alone; the
+    transform masses come from one antiderivative polynomial.  Outside a
+    generous parameter box, and wherever a value leaves the float range,
+    the value is penalty-extended to -1e9, quietly, which keeps the
+    direction-set search total.
     """
     if not (1e-3 < a < 50.0) or abs(c) > 30.0 or not np.all(np.isfinite(b)):
         return -1e9
     try:
-        return _fast_lower_value_inner(a, c, b, penalty)
+        with np.errstate(all="ignore"):
+            value = _fast_lower_value_inner(a, c, b, penalty)
     except (OverflowError, FloatingPointError, ValueError):
         return -1e9
+    return value if math.isfinite(value) else -1e9
 
 
 def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -> float:
     N = len(b)
-    fact = np.array([math.factorial(2 * k + 1) for k in range(N)])
-    coeffs = b / fact  # coefficient of u^(2k+1)
-
-    # L1 norm: head [0, X] by fixed Gauss panels, tail by compactification
-    absb = np.abs(b)
-    k0 = int(np.argmax(absb > 0)) if absb.any() else 0
-    if not absb.any():
-        return -1e9
-    rest = absb[k0 + 1 :]
-    if rest.sum() > 0:
-        r_star = min(0.5, 0.5 * absb[k0] / rest.sum())
-    else:
-        r_star = 0.5
-    X = 2.0 * math.sqrt(max((1.0 / r_star - 1.0) / (4 * a * a), 1.0))
-    nodes, weights = _GL64
-
-    def abs_f(x):
-        w = 1.0 / (1.0 + 2j * a * x) ** 2
-        acc = np.zeros_like(x, dtype=complex)
-        wp = np.ones_like(x, dtype=complex)
-        for bn in b:
-            wp = wp * w
-            acc = acc + bn * wp
-        return (a / math.pi) * np.abs(acc)
-
-    # all 23 panels as one (23, 64) node array, summed panel by panel:
-    # a mat-vec over the panels would change the rounding of the head
-    edges = np.geomspace(1.0, X + 1.0, 24) - 1.0
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    F = abs_f(mids[:, None] + halves[:, None] * nodes)
-    head = 0.0
-    for half, row in zip(halves, F):
-        head += half * float(np.dot(weights, row))
-
-    def tail_int(u):
-        z = (u + 2j * a * X) ** -2.0
-        acc = np.zeros_like(u, dtype=complex)
-        zp = np.ones_like(u, dtype=complex)
-        up = np.ones_like(u)
-        u2 = u * u
-        for i, bn in enumerate(b):
-            zp = zp * z
-            if i > 0:
-                up = up * u2
-            acc = acc + bn * up * zp
-        return (a * X / math.pi) * np.abs(acc)
-
-    mid, half = 0.5, 0.5
-    tail = half * float(np.dot(weights, tail_int(mid + half * nodes)))
-    l1 = 2.0 * (head + tail)
-    if not np.isfinite(l1) or l1 < 1e-12:
+    l1 = _fast_l1_norm(b)
+    if not 1e-12 <= l1 < math.inf:
         return -1e9
 
+    # each mass is pref * int p(u) e^(lam u) du over a u-interval, p the odd
+    # profile polynomial; with (q e^(lam u))' = p e^(lam u) it is
+    # pref * (F(u2) - F(u1)), F(u) = e^(lam u) q(u), and F(-inf) = 0
     lam = 1.0 + a
-    lam_pows = [lam ** (j + 1) for j in range(2 * N)]
-    powers = {}  # u -> (e^(lam u), [u^0, ..., u^(2N-1)]), shared by every term
-
-    def pexp_int(mdeg, u1, u2):
-        # definite integral of u^mdeg e^(lam u); u1 may be -inf (lam > 0)
-        def anti(u):
-            if u not in powers:
-                powers[u] = (math.exp(lam * u), [u ** e for e in range(2 * N)])
-            eu, upow = powers[u]
-            acc, falling, sign = 0.0, 1.0, 1.0
-            for k in range(mdeg + 1):
-                acc += sign * falling * upow[mdeg - k] / lam_pows[k]
-                falling *= mdeg - k
-                sign = -sign
-            return eu * acc
-
-        return anti(u2) - (0.0 if u1 == -math.inf else anti(u1))
+    coeffs = b / _circle_rule(N)[2]  # coefficient of u^(2k+1)
+    p = [0.0] * (2 * N)
+    p[1::2] = coeffs.tolist()
+    q = [0.0] * (2 * N + 1)
+    for e in range(2 * N - 1, -1, -1):
+        q[e] = (p[e] - (e + 1) * q[e + 1]) / lam
 
     pref = (a / math.pi) * math.exp(c)
-    u_zero = -c / a
-    head_i = pref * sum(ck * pexp_int(2 * k + 1, -math.inf, min(0.0, u_zero)) for k, ck in enumerate(coeffs))
-
-    pos_mass = neg_mass = 0.0
-    if c > 0:
+    u_zero = -c / a  # u-image of t = 0; the masses live on (u_zero, 0)
+    roots_u = [u_zero, 0.0] if c > 0 else [0.0]
+    if c > 0 and N > 1:
         # roots of the odd polynomial on (u_zero, 0) via companion matrix in u^2
-        q = np.zeros(N)
-        q[:] = coeffs
-        roots_u = [u_zero, 0.0]
-        if N > 1:
-            vr = np.roots(q[::-1])
-            for v in vr:
-                if abs(v.imag) < 1e-9 and v.real > 0:
-                    u = -math.sqrt(v.real)
-                    if u_zero < u < 0:
-                        roots_u.append(u)
-        roots_u.sort()
-        for u1, u2 in zip(roots_u[:-1], roots_u[1:]):
-            if u2 - u1 < 1e-300:
-                continue
-            seg = pref * sum(ck * pexp_int(2 * k + 1, u1, u2) for k, ck in enumerate(coeffs))
-            um = 0.5 * (u1 + u2)
-            sgn = sum(ck * um ** (2 * k + 1) for k, ck in enumerate(coeffs))
-            if sgn >= 0:
-                pos_mass += seg
-            else:
-                neg_mass += -seg
+        for v in np.roots(coeffs[::-1]):
+            if abs(v.imag) < 1e-9 and v.real > 0:
+                u = -math.sqrt(v.real)
+                if u_zero < u < 0:
+                    roots_u.append(u)
+    roots_u.sort()
+    F = [math.exp(lam * u) * _horner(q, u) for u in roots_u]
+    head_i = pref * F[0]
+    pos_mass = neg_mass = 0.0
+    for u1, u2, F1, F2 in zip(roots_u, roots_u[1:], F, F[1:]):
+        if u2 - u1 < 1e-300:
+            continue
+        if _horner(p, 0.5 * (u1 + u2)) >= 0:
+            pos_mass += pref * (F2 - F1)
+        else:
+            neg_mass -= pref * (F2 - F1)
     pos_mass, neg_mass = max(pos_mass, 0.0), max(neg_mass, 0.0)
     if penalty == math.inf:
         if pos_mass > 1e-12:
@@ -317,6 +298,14 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
     else:
         num = head_i - neg_mass - penalty * pos_mass
     return 2.0 * math.pi * num / l1
+
+
+def _horner(cs, u):
+    """sum_e cs[e] u^e, on Python floats."""
+    acc = 0.0
+    for ce in reversed(cs):
+        acc = acc * u + ce
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from fel import lower, tables
 from fel.search import (
+    _GL64,
     SearchConfig,
+    _fast_l1_norm,
     _fast_lower_value,
     optimize_lower,
     optimize_upper,
@@ -41,6 +44,121 @@ def fast_sup_oracle(A, knots):
     c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
     tiny = np.linspace(np.maximum(c - step / 20, 0.0), c + step / 20, 21, axis=1)
     return max(float(v.max()), float(fv.max()), float(gabs(tiny).max()))
+
+
+def fast_lower_oracle(a, c, b, penalty):
+    # the float lower reward before the circle form: the L^1 norm from 23
+    # geomspace Gauss panels on [0, X] plus a compactified tail past X, the
+    # masses from per-term antiderivatives of u^m e^(lam u)
+    N = len(b)
+    fact = np.array([math.factorial(2 * k + 1) for k in range(N)])
+    coeffs = b / fact  # coefficient of u^(2k+1)
+
+    # L1 norm: head [0, X] by fixed Gauss panels, tail by compactification
+    absb = np.abs(b)
+    k0 = int(np.argmax(absb > 0)) if absb.any() else 0
+    if not absb.any():
+        return -1e9
+    rest = absb[k0 + 1 :]
+    if rest.sum() > 0:
+        r_star = min(0.5, 0.5 * absb[k0] / rest.sum())
+    else:
+        r_star = 0.5
+    X = 2.0 * math.sqrt(max((1.0 / r_star - 1.0) / (4 * a * a), 1.0))
+    nodes, weights = _GL64
+
+    def abs_f(x):
+        w = 1.0 / (1.0 + 2j * a * x) ** 2
+        acc = np.zeros_like(x, dtype=complex)
+        wp = np.ones_like(x, dtype=complex)
+        for bn in b:
+            wp = wp * w
+            acc = acc + bn * wp
+        return (a / math.pi) * np.abs(acc)
+
+    # all 23 panels as one (23, 64) node array, summed panel by panel:
+    # a mat-vec over the panels would change the rounding of the head
+    edges = np.geomspace(1.0, X + 1.0, 24) - 1.0
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    F = abs_f(mids[:, None] + halves[:, None] * nodes)
+    head = 0.0
+    for half, row in zip(halves, F):
+        head += half * float(np.dot(weights, row))
+
+    def tail_int(u):
+        z = (u + 2j * a * X) ** -2.0
+        acc = np.zeros_like(u, dtype=complex)
+        zp = np.ones_like(u, dtype=complex)
+        up = np.ones_like(u)
+        u2 = u * u
+        for i, bn in enumerate(b):
+            zp = zp * z
+            if i > 0:
+                up = up * u2
+            acc = acc + bn * up * zp
+        return (a * X / math.pi) * np.abs(acc)
+
+    mid, half = 0.5, 0.5
+    tail = half * float(np.dot(weights, tail_int(mid + half * nodes)))
+    l1 = 2.0 * (head + tail)
+    if not np.isfinite(l1) or l1 < 1e-12:
+        return -1e9
+
+    lam = 1.0 + a
+    lam_pows = [lam ** (j + 1) for j in range(2 * N)]
+    powers = {}  # u -> (e^(lam u), [u^0, ..., u^(2N-1)]), shared by every term
+
+    def pexp_int(mdeg, u1, u2):
+        # definite integral of u^mdeg e^(lam u); u1 may be -inf (lam > 0)
+        def anti(u):
+            if u not in powers:
+                powers[u] = (math.exp(lam * u), [u ** e for e in range(2 * N)])
+            eu, upow = powers[u]
+            acc, falling, sign = 0.0, 1.0, 1.0
+            for k in range(mdeg + 1):
+                acc += sign * falling * upow[mdeg - k] / lam_pows[k]
+                falling *= mdeg - k
+                sign = -sign
+            return eu * acc
+
+        return anti(u2) - (0.0 if u1 == -math.inf else anti(u1))
+
+    pref = (a / math.pi) * math.exp(c)
+    u_zero = -c / a
+    head_i = pref * sum(ck * pexp_int(2 * k + 1, -math.inf, min(0.0, u_zero)) for k, ck in enumerate(coeffs))
+
+    pos_mass = neg_mass = 0.0
+    if c > 0:
+        # roots of the odd polynomial on (u_zero, 0) via companion matrix in u^2
+        q = np.zeros(N)
+        q[:] = coeffs
+        roots_u = [u_zero, 0.0]
+        if N > 1:
+            vr = np.roots(q[::-1])
+            for v in vr:
+                if abs(v.imag) < 1e-9 and v.real > 0:
+                    u = -math.sqrt(v.real)
+                    if u_zero < u < 0:
+                        roots_u.append(u)
+        roots_u.sort()
+        for u1, u2 in zip(roots_u[:-1], roots_u[1:]):
+            if u2 - u1 < 1e-300:
+                continue
+            seg = pref * sum(ck * pexp_int(2 * k + 1, u1, u2) for k, ck in enumerate(coeffs))
+            um = 0.5 * (u1 + u2)
+            sgn = sum(ck * um ** (2 * k + 1) for k, ck in enumerate(coeffs))
+            if sgn >= 0:
+                pos_mass += seg
+            else:
+                neg_mass += -seg
+    pos_mass, neg_mass = max(pos_mass, 0.0), max(neg_mass, 0.0)
+    if penalty == math.inf:
+        if pos_mass > 1e-12:
+            return -1e9
+        num = head_i - neg_mass
+    else:
+        num = head_i - neg_mass - penalty * pos_mass
+    return 2.0 * math.pi * num / l1
 
 
 def random_knot_sets(seed, count):
@@ -87,6 +205,12 @@ def test_praxis_budget_flag():
     assert r.nevals <= 50
 
 
+def lower_references():
+    # (key, params, then a, c, b and the penalty as floats) of the five shipped lower sets
+    for key, (_, p) in tables.lower_reference().items():
+        yield key, p, float(p.a), float(p.c), np.array([float(x) for x in p.b]), float(Fraction(key))
+
+
 def test_fast_evaluators_match_certified(ctx40):
     from fel import upper
 
@@ -94,20 +218,55 @@ def test_fast_evaluators_match_certified(ctx40):
         fv = fast_sup(float(up.penalty), np.array([float(k) for k in up.knots]))
         cert = upper.sup_norm(up, ctx40)
         assert abs(fv - float(cert.value)) < 1e-6, key
-    for key in ("1/4", "1"):
-        from fractions import Fraction
-
-        _, p = tables.lower_reference()[key]
-        fv = _fast_lower_value(float(p.a), float(p.c), np.array([float(x) for x in p.b]),
-                               float(Fraction(key)))
+    # the reward to 1e-8 and the circle-form L^1 norm to 1e-8 relative
+    # (worst 3.3e-9 and 3.1e-9, both at penalty 3)
+    for key, p, a, c, b, pen in lower_references():
         exact = lower.reward(p, key, ctx40)
-        assert abs(fv - float(exact.value)) < 1e-6, key
+        assert abs(_fast_lower_value(a, c, b, pen) - float(exact.value)) < 1e-8, key
+        l1 = float(exact.meta["l1"].value)
+        assert abs(_fast_l1_norm(b) - l1) < 1e-8 * l1, key
+
+
+def test_fast_lower_equals_oracle():
+    # the circle form agrees with the geomspace-panel evaluator to 5e-9
+    # relative on the references (3.1e-9 at penalty 3, where Q_b nearly
+    # vanishes on the circle; at most 1.2e-11 elsewhere)
+    for key, _, a, c, b, pen in lower_references():
+        want = fast_lower_oracle(a, c, b, pen)
+        assert abs(_fast_lower_value(a, c, b, pen) - want) <= 5e-9 * abs(want), key
+
+
+def test_fast_lower_hostile_first_coefficient(ctx30):
+    # a tiny first coefficient: the old tail start sent X to about 1e100
+    # (-266.15 for the first set, -1e9 with warnings for the second).  A
+    # first coefficient d moves the reward by O(d), so the reward of the
+    # set with b_1 = 0 is the reference at 30 digits; l1_norm refuses the
+    # sets themselves (no dominated tail region)
+    for b, b0 in (([1e-200, 1.0, -3.0], ("0", "1", "-3")), ([1e-320, 1.0], ("0", "1"))):
+        exact = lower.reward(lower.LowerParams(a=1, c="0.5", b=b0), "1", ctx30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fv = _fast_lower_value(1.0, 0.5, np.array(b), 1.0)
+            l1 = _fast_l1_norm(np.array(b))
+        assert abs(fv - float(exact.value)) < 1e-12, b
+        assert abs(l1 - float(exact.meta["l1"].value)) < 1e-12, b
+    assert abs(exact.meta["l1"].value - mp.mpf("0.25")) < 1e-28
+    with mp.workdps(30):
+        norm = lower.l1_norm(lower.LowerParams(a=1, c=0, b=("0", "1", "-3")), ctx30).value
+        assert abs(norm - mp.mpf("0.47398291001309106224")) < 1e-20
 
 
 def test_fast_lower_penalty_extension():
+    # outside the box, on non-finite input and, without a warning, on
+    # values that leave the float range, the reward is -1e9
     assert _fast_lower_value(-1.0, 0.0, np.array([1.0]), 1.0) == -1e9
     assert _fast_lower_value(1.0, 50.0, np.array([1.0]), 1.0) == -1e9
     assert _fast_lower_value(1.0, 0.0, np.array([np.nan]), 1.0) == -1e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fast_lower_value(1.0, 0.5, np.array([1e308, 1e308]), 1.0) == -1e9
+        assert _fast_lower_value(1.0, 0.5, np.array([0.0, 0.0]), 1.0) == -1e9
+        assert _fast_lower_value(1.0, 0.5, np.array([1e307, -1e307, 1e307]), 1.0) > -1e9
 
 
 def test_optimize_lower_recovers_endpoint(ctx40, tmp_path):
@@ -223,15 +382,15 @@ def test_fast_sup_invalid_knots():
 
 def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
     # the float lower objective reproduces these floats exactly; any change
-    # to the rounding of its head or tail integral shows here; the final
-    # err is the mpmath reward's radius, which moves with the L^1
+    # to the rounding of its circle-form norm or its masses shows here; the
+    # final err is the mpmath reward's radius, which moves with the L^1
     # quadrature's error estimate
     cfg = SearchConfig(seed=4, restarts=2, budget=800)
     path = tmp_path / "t.jsonl"
     optimize_lower("1", 3, cfg, ctx40, transcript_path=str(path))
     rows = [json.loads(l) for l in path.read_text().splitlines()]
     assert rows == [
-        {"kind": "lower", "restart": 0, "value": 1.0792990321351725, "nevals": 400},
-        {"kind": "lower", "restart": 1, "value": 1.1144687598003362, "nevals": 400},
-        {"kind": "lower-final", "value": 1.1144687598003353, "err": 2.2290491173188145e-34},
+        {"kind": "lower", "restart": 0, "value": 1.0792990301987424, "nevals": 400},
+        {"kind": "lower", "restart": 1, "value": 1.1144687602137529, "nevals": 400},
+        {"kind": "lower-final", "value": 1.1144687602137517, "err": 2.229049223132653e-34},
     ]
