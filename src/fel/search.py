@@ -332,8 +332,10 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
 
     Runs ``cfg.restarts`` seeded principal-axis starts on the fast float
     objective (log-parametrized dilation keeps a > 0), then recomputes the
-    incumbent at full precision.  Returns (LowerParams, the reward as an
-    ErrBounded whose ``meta["l1"]`` is its L^1 norm).
+    incumbent at full precision.  A seed ``x0`` is one start, ``n_terms + 2``
+    finite floats (b, log a, c); any other raises ValueError.  Returns
+    (LowerParams, the reward as an ErrBounded whose ``meta["l1"]`` is its
+    L^1 norm).
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -358,7 +360,10 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
     sub = dataclasses.replace(cfg, restarts=1, budget=budget_each)
     starts = []
     if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n_terms + 2,) or not np.isfinite(x0).all():
+            raise ValueError("x0 must be %d finite floats (b, log a, c)" % (n_terms + 2))
+        starts.append(x0)
     while len(starts) < cfg.restarts:
         b = rng.standard_normal(n_terms)
         b[0] = -abs(b[0])  # bias toward the single-term extremal shape
@@ -394,13 +399,20 @@ def _nm_local(fun, x0, budget):
     return res.x, float(res.fun)
 
 
+def _knots_of_gaps(y):
+    """Knots from log-gaps clamped to [-18, 3], as ``np.clip`` would, NaN included."""
+    return np.cumsum(np.exp(np.minimum(np.maximum(y, -18.0), 3.0)))
+
+
 def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = None,
                    knots0: Sequence[float] | None = None, transcript_path=None):
     """Minimize the sup-norm over knot vectors, growing the knot count.
 
     Per count: Nelder-Mead locals from seeded perturbations of the incumbent
     (positive gaps keep the ordering); the count loop stops after two
-    consecutive counts improve by less than 1e-5, or at ``cfg.n_max``.
+    consecutive counts improve by less than 1e-5, or at ``cfg.n_max``.  A
+    seed ``knots0`` starts the count loop at its length; it must be 1 to
+    ``cfg.n_max`` increasing, positive, finite knots, or ValueError.
     Returns (UpperParams, the sup-norm as an ErrBounded) certified at full
     precision.
     """
@@ -411,12 +423,18 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     log = _Transcript(transcript_path)
     evals_left = [cfg.budget]
 
+    if knots0 is not None:
+        knots0 = np.asarray(knots0, dtype=float)
+        if not (knots0.ndim == 1 and 1 <= knots0.size <= cfg.n_max and np.isfinite(knots0).all()
+                and knots0[0] > 0 and (knots0[1:] > knots0[:-1]).all()):
+            raise ValueError("knots0 must be 1 to n_max = %d increasing, positive, finite knots"
+                             % cfg.n_max)
+
     def sup_of_gaps(y):
         if evals_left[0] <= 0:
             return 1e9
         evals_left[0] -= 1
-        gaps = np.exp(np.clip(y, -18.0, 3.0))
-        return upper.fast_sup(A, np.cumsum(gaps))
+        return upper.fast_sup(A, _knots_of_gaps(y))
 
     if A == 0.0:
         return empty, upper.sup_norm(empty, ctx)
@@ -427,7 +445,7 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     weak_rounds = 0
     incumbent = None
     if knots0 is not None:
-        incumbent = np.log(np.diff(np.concatenate([[0.0], np.asarray(knots0, dtype=float)])))
+        incumbent = np.log(np.diff(np.concatenate([[0.0], knots0])))
     n_start = len(knots0) if knots0 is not None else 1
     for n in range(n_start, cfg.n_max + 1):
         seeds = []
@@ -472,7 +490,7 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     if best_y is None:
         params = empty
     else:
-        knots = np.cumsum(np.exp(np.clip(best_y, -18.0, 3.0)))
+        knots = _knots_of_gaps(best_y)
         params = upper.UpperParams(penalty=empty.penalty,
                                    knots=tuple(Decimal(repr(float(k))) for k in knots))
     certified = upper.sup_norm(params, ctx)

@@ -31,6 +31,7 @@ last penalty-1 ripple quoted at 1.0410 sits at ``t ~ 3.2707``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -215,50 +216,92 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
         residual(t) = (d_0 + sum_m d_m e^{pi T_m} e^{-i theta_m t}) / (1 - 2it),
 
     with ``d_0 = 2 + 2 c_0``, ``d_m = 2 (c_m - c_{m-1})``, ``c_N = 0`` and
-    ``theta_m = 2 pi T_m``.  Each stage lays its points out as rows and
-    columns, ``t = lo_r + j delta``, so ``e^{-i theta t}`` factors into a
-    row and a column exponential and the sum over knots is one small complex
-    matmul (:func:`_stage`).  ``|residual|`` is even in ``t``, so the local
-    stages may reach below 0.
+    ``theta_m = 2 pi T_m``.  The ``d`` and ``|c|`` depend on ``(A, N)``
+    only and come from the cached piece table :func:`_pieces`.  Each stage
+    lays its points out as rows and columns, ``t = lo_r + j delta``, so
+    ``e^{-i theta t}`` factors into a row and a column exponential and the
+    sum over knots is one small complex matmul (:func:`_stage`).
+    ``|residual|`` is even in ``t``, so the local stages may reach below 0.
+
+    A search makes some 10^4 calls at 1-4 knots, where numpy's per-call
+    dispatch, not arithmetic, sets the cost: so a call runs only the ufuncs
+    the formula needs, on cached index arrays and in place, in an order
+    that fixes every rounding.  The tests pin its floats with ``==``.
     """
-    if knots.size and (np.any(np.diff(knots) <= 0) or knots[0] <= 0 or knots[-1] > 30):
+    n = knots.size
+    if n and ((knots[1:] <= knots[:-1]).any() or knots[0] <= 0 or knots[-1] > 30):
         return 1e9
     with np.errstate(all="ignore"):
-        cs = _alternation(A, knots.size)
+        dc2, cabs, d0 = _pieces(A, n)
         ep = np.exp(np.pi * knots)
-        weights = 2 * np.diff(cs, append=0.0) * ep
-        d0 = 2.0 + 2.0 * cs[0] if knots.size else 2.0
+        weights = dc2 * ep
         freq = -2j * np.pi * knots  # -i theta_m
         g0 = abs(d0 + weights.sum())
-        C = 2.0 + 2.0 * float(np.abs(cs) @ (ep + np.concatenate([[1.0], ep[:-1]])))
+        pairs = ep.copy()  # e^{pi T_m} + e^{pi T_{m-1}}, with e^0 = 1 before the first
+        pairs[1:] += ep[:-1]
+        pairs[:1] += 1.0
+        C = 2.0 + 2.0 * float(cabs @ pairs)
         if not (math.isfinite(g0) and math.isfinite(C)):
             return 1e9
         thr = max(g0 * 0.98, 1e-6)
         t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
         m = max(int(t_max / 8e-3), 200) + 1  # coarse step about 8e-3
         step = t_max / (m - 1)
-        ts, v = _stage(d0, weights, freq, step * 64 * np.arange(-(-m // 64)), step, 64)
+        ts, v = _stage(d0, weights, freq, step * 64 * _columns(-(-m // 64)), step, 64)
         ts, v = ts.ravel()[:m], v.ravel()[:m]
         # one row per peak, unordered: every stage takes a max over all its rows
-        c = ts[np.argpartition(v, -10)[-10:]]
+        c = ts[v.argpartition(-10)[-10:]]
         fine, fv = _stage(d0, weights, freq, c - step, step / 20, 41)
-        c = fine[np.arange(c.size), np.argmax(fv, axis=1)]
+        c = fine[_columns(10, int), fv.argmax(1)]
         _, tv = _stage(d0, weights, freq, c - step / 20, step / 200, 21)
-        best = float(np.max([v.max(), fv.max(), tv.max()]))  # NaN propagates
+        best = float(np.maximum(np.maximum(v.max(), fv.max()), tv.max()))  # NaN propagates
     return best if math.isfinite(best) else 1e9
+
+
+@functools.lru_cache(maxsize=64)
+def _pieces(A: float, n: int):
+    """(2 diff(c, append 0), |c|, d_0) of :func:`fast_sup` for ``n`` pieces.
+
+    Built once per ``(A, n)`` and read-only: every call shares them.
+    """
+    cs = _alternation(A, n)
+    dc2, cabs = 2 * np.diff(cs, append=0.0), np.abs(cs)
+    dc2.flags.writeable = cabs.flags.writeable = False
+    return dc2, cabs, 2.0 + 2.0 * cs[0] if n else 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(k: int, dtype=float):
+    """``np.arange(k)`` as ``dtype``, read-only and shared."""
+    out = np.arange(k, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _stage(d0, weights, freq, lo, delta, cols: int):
     """(t, |residual(t)|) at ``t = lo[r] + j delta``, ``j < cols``: one row per ``lo``.
 
     ``weights`` are the ``d_m e^{pi T_m}`` and ``freq`` the ``-i theta_m`` of
-    :func:`fast_sup`.
+    :func:`fast_sup`.  The arithmetic runs in place on the stage's own
+    arrays, as ``d0 + E_row @ (w E_col)`` and ``|num| / sqrt(1 + (4 t) t)``
+    in that order of operations.
     """
-    offs = delta * np.arange(cols)
-    num = d0 + np.exp(np.multiply.outer(lo, freq)) @ (
-        weights[:, None] * np.exp(np.multiply.outer(freq, offs)))
+    offs = delta * _columns(cols)
+    row_exp = lo[:, None] * freq
+    np.exp(row_exp, out=row_exp)
+    col_exp = freq[:, None] * offs
+    np.exp(col_exp, out=col_exp)
+    col_exp *= weights[:, None]
+    num = row_exp @ col_exp
+    num += d0
     t = lo[:, None] + offs
-    return t, np.abs(num) / np.sqrt(1.0 + 4.0 * t * t)
+    den = 4.0 * t
+    den *= t
+    den += 1.0
+    np.sqrt(den, out=den)
+    out = np.abs(num)
+    out /= den
+    return t, out
 
 
 def _mass_constant(up: UpperParams):

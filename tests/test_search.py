@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fel import lower, tables
+from fel import lower, tables, upper
 from fel.search import (
     _GL64,
     SearchConfig,
@@ -307,6 +307,25 @@ def test_optimize_upper_zero_penalty(ctx40):
     assert abs(bound.value - 2) < 1e-6
 
 
+@pytest.mark.parametrize("knots0", [
+    "shipped",  # the 7 penalty-1 knots against n_max = 2: it returned (), value 2
+    [], [0.3, 0.2], [0.2, 0.2], [0.0, 0.2], [-0.1, 0.2], [math.nan], [0.1, math.inf],
+])
+def test_optimize_upper_refuses_bad_seed(ctx40, knots0):
+    if knots0 == "shipped":
+        knots0 = [float(k) for k in tables.upper_reference()["1"][1].knots]
+    with pytest.raises(ValueError, match="knots0"):
+        optimize_upper("1", SearchConfig(n_max=2, budget=200), ctx40, knots0=knots0)
+
+
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 0.0, 0.5, 2.0], [1.0, 0.0], [[1.0, 0.0, 0.5]],
+                                [math.nan, 0.0, 0.5]])
+def test_optimize_lower_refuses_bad_seed(ctx40, x0):
+    # one coefficient: x0 is (b_1, log a, c)
+    with pytest.raises(ValueError, match="x0"):
+        optimize_lower("1", 1, SearchConfig(restarts=1, budget=200), ctx40, x0=x0)
+
+
 def test_optimize_upper_deterministic_transcripts(ctx40, tmp_path):
     cfg = SearchConfig(seed=9, n_max=2, restarts=2, budget=3_000)
     p1, b1 = optimize_upper("1", cfg, ctx40, transcript_path=str(tmp_path / "a.jsonl"))
@@ -346,13 +365,16 @@ def test_fast_sup_pinned_references():
         assert fv == pinned[key], key
 
 
+# fast_sup on random_knot_sets(8, 12), exact to the last bit
+RANDOM_KNOT_PINS = [13457.2314207451, 1.3947165793720488, 14.712104242104012,
+                    4.059795036249843, 40.52617046206601, 2.1472896193707074,
+                    2.0358947842557935, 1.4105578804502832, 17246.030806774703,
+                    1047.5186705331384, 3.5707127236684233, 5.3228416489344585]
+
+
 def test_fast_sup_pinned_random_knots():
     # seeded random knot sets: the float sup estimate is exact to the last bit
-    pinned = [13457.2314207451, 1.3947165793720488, 14.712104242104012,
-              4.059795036249843, 40.52617046206601, 2.1472896193707074,
-              2.0358947842557935, 1.4105578804502832, 17246.030806774703,
-              1047.5186705331384, 3.5707127236684233, 5.3228416489344585]
-    for want, (A, knots) in zip(pinned, random_knot_sets(8, len(pinned))):
+    for want, (A, knots) in zip(RANDOM_KNOT_PINS, random_knot_sets(8, len(RANDOM_KNOT_PINS))):
         assert fast_sup(A, knots) == want, (A, knots)
 
 
@@ -378,6 +400,44 @@ def test_fast_sup_invalid_knots():
         assert fast_sup(1e308, np.array([])) == 2.0
         assert fast_sup(1e308, np.array([0.1, 0.2])) == 1e9
         assert fast_sup(math.inf, np.array([0.1])) == 1e9
+        # NaN knots pass the ordering checks (NaN compares false) and end in
+        # a non-finite g0; infinite ones fail the checks: all get 1e9, quietly
+        for knots in ([math.nan], [math.nan, 0.5], [0.1, math.nan], [0.1, math.inf],
+                      [-math.inf, 0.1]):
+            assert fast_sup(1.0, np.array(knots)) == 1e9, knots
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_fast_sup_nan_in_any_stage(monkeypatch, stage):
+    # a NaN in the coarse, fine or tiny stage makes the estimate 1e9: the
+    # final max propagates NaN whichever stage it comes from
+    real, calls = upper._stage, []
+
+    def poisoned(*args):
+        t, v = real(*args)
+        if len(calls) == stage:
+            v[0, 0] = math.nan
+        calls.append(stage)
+        return t, v
+
+    monkeypatch.setattr(upper, "_stage", poisoned)
+    assert fast_sup(1.0, np.array([0.15, 0.21])) == 1e9
+    assert len(calls) == 3
+
+
+def test_fast_sup_piece_table_cache():
+    # the per-(A, n) piece tables are shared and read-only; calls in reverse
+    # order, penalties and knot counts interleaved, still give the pins of
+    # test_fast_sup_pinned_random_knots (a table keyed on n alone would not)
+    sets = list(random_knot_sets(8, len(RANDOM_KNOT_PINS)))
+    assert len({(A, k.size) for A, k in sets}) > len({k.size for _, k in sets})
+    upper._pieces.cache_clear()
+    for want, (A, knots) in reversed(list(zip(RANDOM_KNOT_PINS, sets))):
+        assert fast_sup(A, knots) == want, (A, knots)
+    for A, knots in sets:
+        for arr in upper._pieces(A, knots.size)[:2]:
+            assert not arr.flags.writeable
+    assert upper._pieces(1.0, 0)[2] == 2.0
 
 
 def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
