@@ -8,14 +8,16 @@ of the truncated/tail prime-power sum identity
     (1/2pi) sum_{2<=n<m} Lambda(n)/sqrt(n) g(log n / 2pi)
         = int_0^{log m / 2pi} g(t) e^{pi t} dt + O((||g||_1 + ||g'||_1) log^2 m).
 
-Primes come from numpy sieves of Eratosthenes: segmented ones for the
-scanned keys, and one module-level pool, a prefix of the primes that is
-sieved again to twice its last prime whenever a caller asks for more primes
-than it holds, for the small primes l of the symbol tables and the first
-hits of the arithmetic progressions.  Quadratic symbols come from quadratic
-reciprocity, one Legendre table of the squares mod l per small prime l,
-applied to a whole block of primes at once.  Miller-Rabin (deterministic for
-64-bit inputs, standard 12-witness set) only validates scalar inputs.
+Every prime comes from one segmented numpy sieve of Eratosthenes over the
+odd numbers only (:func:`segmented_primes`; :func:`primes_upto` is one
+block of it): by blocks for the scanned keys, and for one module-level
+pool, a prefix of the primes that is sieved again to twice its last prime
+whenever a caller asks for more primes than it holds, for the small primes
+l of the symbol tables and the first hits of the arithmetic progressions.
+Quadratic symbols come from quadratic reciprocity, one Legendre table of
+the squares mod l per small prime l, applied to a whole block of primes at
+once.  Miller-Rabin (deterministic for 64-bit inputs, standard 12-witness
+set) only validates scalar inputs.
 Scan ratios are computed at 30 decimal digits (103 bits, round-nearest) at
 the ``mpmath.libmp`` level, to keep log precision out of the margins.
 
@@ -34,7 +36,9 @@ from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, mpf_pow_int, to_str
+from mpmath.libmp import (
+    from_float, from_int, mpf_div, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, to_str,
+)
 
 __all__ = [
     "NtRecord",
@@ -143,15 +147,10 @@ def least_prime_qr(p: int) -> int:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n (numpy sieve)."""
+    """All primes <= n: one block of :func:`segmented_primes`."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return next(segmented_primes(2, n + 1, block=n))
 
 
 # a prefix of the primes, in increasing order; see _first_primes
@@ -168,21 +167,33 @@ def _first_primes(n: int) -> np.ndarray:
 
 
 def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.ndarray]:
-    """Yield primes in [lo, hi) as numpy blocks, bounded memory."""
+    """Yield the primes in [lo, hi) as int64 numpy blocks, one per
+    [start, start + block) for start in range(max(lo, 2), hi, block).
+
+    Each block sieves its odd numbers only (a wheel of 2): flag i stands for
+    s0 + 2i, with s0 the first odd number of the block, and each odd prime p
+    clears every p-th flag from its first odd multiple past max(start, p^2).
+    The block that starts at 2 starts its flags at 1 and reads the prime 2
+    from flag 0.  The sieving primes come from this function itself,
+    through :func:`primes_upto`; no odd composite lies below 9.
+    """
     lo = max(lo, 2)
-    base = primes_upto(int(math.isqrt(max(hi - 1, 4))) + 1)
+    base = primes_upto(math.isqrt(hi - 1))[1:].tolist() if hi > 9 else []
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        seg = np.ones(stop - start, dtype=bool)
-        for p in base.tolist():
+        s0 = start | 1 if start > 2 else 1
+        seg = np.ones((stop - s0 + 1) // 2, dtype=bool)
+        for p in base:
             if p * p >= stop:
                 break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start :: p] = False
-        if start <= 1:
-            seg[: 2 - start] = False
-        primes = np.flatnonzero(seg).astype(np.int64, copy=False) + start
+            first = max(p * p, (-(-start // p) | 1) * p)
+            seg[(first - s0) // 2 :: p] = False
+        primes = np.flatnonzero(seg).astype(np.int64, copy=False)
         del seg  # the flags are not held while the caller works on the block
+        primes *= 2
+        primes += s0
+        if start == 2:
+            primes[0] = 2  # flag 0 stands for 1, which no odd prime clears
         yield primes
 
 
@@ -220,9 +231,13 @@ class ScanSummary:
 
     @property
     def margin(self):
+        """comparator - max_ratio at 30 digits, round-nearest, from the exact
+        double of the comparator."""
         if self.max_ratio is None:
             return None
-        return mp.mpf(self.comparator) - self.max_ratio
+        return mp.make_mpf(
+            mpf_sub(from_float(self.comparator), self.max_ratio._mpf_, _RATIO_PREC, "n")
+        )
 
     def to_json(self) -> dict:
         return {

@@ -270,6 +270,23 @@ def test_nt_qnr(capsys, tmp_path):
     assert float(summary["margin"]) > 0
 
 
+@pytest.mark.parametrize("argv, key, value, denom", [
+    (("--kind", "qnr", "--max-p", "1000"), 23, 5, lambda: mp.log(23) ** 2),
+    (("--kind", "prime-qr", "--max-p", "1000"), 293, 17, lambda: mp.log(293) ** 2),
+    (("--kind", "ap", "--max-q", "50"), "1 mod 4", 5, lambda: (2 * mp.log(4)) ** 2),
+], ids=["qnr", "prime-qr", "ap"])
+def test_nt_margin_digits(capsys, argv, key, value, denom):
+    # all 20 printed digits of the margin agree with a 300-bit reference:
+    # the comparator's double minus the largest ratio, value / denom
+    code, out, _ = run(capsys, "nt", *argv)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["argmax"] == key
+    with mp.workprec(300):
+        ref = mp.mpf(summary["comparator"]) - value / denom()
+        assert summary["margin"] == mp.nstr(ref, 20)
+
+
 def test_nt_qnr_summary_is_nt_summarize(capsys):
     code, out, _ = run(capsys, "nt", "--kind", "qnr", "--max-p", "2000")
     assert code == 0
@@ -501,6 +518,48 @@ def test_nt_prime_sum(capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["normalized_truncated"]) < 10
+
+
+# the whole ``nt --kind prime-sum`` report, recorded before the odd-only
+# sieve; 1e7 spans two sieve blocks of 8e6, so a change of block layout or
+# summation order moves the last bits
+PRIME_SUM_PINS = {
+    100_000: {
+        "m": 100000,
+        "truncated_sum": 22.339923228834053,
+        "truncated_integral": 22.34040164486223,
+        "truncated_residual": -0.0004784160281765537,
+        "normalized_truncated": -1.2778641203500948e-06,
+        "tail_sum": 0.0,
+        "tail_integral": 0.0,
+        "tail_residual": 0.0,
+        "normalized_tail": 0.0,
+        "psi_m": 100051.5640256579,
+        "psi_window": 41915.184878136955,
+    },
+    10_000_000: {
+        "m": 10000000,
+        "truncated_sum": 144.10398630834214,
+        "truncated_integral": 144.10409696024806,
+        "truncated_residual": -0.00011065190591352803,
+        "normalized_truncated": -1.350262841931641e-07,
+        "tail_sum": 0.0,
+        "tail_integral": 0.0,
+        "tail_residual": 0.0,
+        "normalized_tail": 0.0,
+        "psi_m": 9998539.403345957,
+        "psi_window": 821537.6236114843,
+    },
+}
+
+
+@pytest.mark.parametrize("m", sorted(PRIME_SUM_PINS))
+def test_nt_prime_sum_pinned(capsys, m):
+    code, out, _ = run(capsys, "nt", "--kind", "prime-sum", "--m", str(m))
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == list(PRIME_SUM_PINS[m])
+    assert rep == PRIME_SUM_PINS[m]  # floats compared with ==
 
 
 def test_search_cli_small(capsys, tmp_path):

@@ -169,6 +169,29 @@ def test_primes_upto_agrees_with_segments():
     assert direct[0] == 2 and direct[-1] == 49999
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 7000])
+def test_segmented_primes_edges(block):
+    # every lo and hi near the squares of the odd sieving primes, against
+    # Miller-Rabin; block i covers [max(lo, 2) + i block, ... + (i + 1) block)
+    for lo in (0, 1, 2, 3, 4, 9):
+        for sq in (9, 25, 49, 121):
+            for hi in (sq - 1, sq, sq + 1):
+                blocks = list(nt.segmented_primes(lo, hi, block))
+                starts = range(max(lo, 2), hi, block)
+                assert len(blocks) == len(starts)
+                for start, b in zip(starts, blocks):
+                    assert b.dtype == np.int64
+                    assert b.tolist() == [n for n in range(start, min(start + block, hi))
+                                          if nt.is_prime_u64(n)], (lo, hi, block, start)
+
+
+def test_primes_upto_small():
+    for n in range(300):
+        got = nt.primes_upto(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [k for k in range(n + 1) if nt.is_prime_u64(k)], n
+
+
 def test_scan_qnr_small():
     recs = list(nt.scan("qnr", 3, 23))
     keys = [r.key for r in recs]
