@@ -18,8 +18,13 @@ Quadratic symbols come from quadratic reciprocity, one Legendre table of
 the squares mod l per small prime l, applied to a whole block of primes at
 once.  Miller-Rabin (deterministic for 64-bit inputs, standard 12-witness
 set) only validates scalar inputs.
-Scan ratios are computed at 30 decimal digits (103 bits, round-nearest) at
-the ``mpmath.libmp`` level, to keep log precision out of the margins.
+Scan ratios are computed at 30 decimal digits (103 bits, round-nearest),
+and printed to 20 digits, at the ``mpmath.libmp`` level: the ratio by
+``mpf_log`` and ``mpf_div``, its printed digits by a small integer kernel
+on the raw tuple that does the steps of ``to_str(x, 20)`` (mpmath 1.3), bit
+for bit.  The sieves of the scans and of the prime-sum check stay within
+:data:`SIEVE_BUDGET`; ranges that would need more are refused, before any
+sieving where the range tells.
 
 The comparator constants bound limsups; no finite scan can confirm or
 refute them.  Scans therefore take an explicit key range and report
@@ -32,13 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    from_float, from_int, mpf_div, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, to_str,
-)
+from mpmath.libmp import from_float, from_int, mpf_div, mpf_gt, mpf_log, mpf_mul, mpf_pow_int, mpf_sub
 
 __all__ = [
     "NtRecord",
@@ -55,10 +58,16 @@ __all__ = [
     "prime_sum_check",
     "DEFAULT_SCAN_FLOORS",
     "COMPARATORS",
+    "SIEVE_BUDGET",
 ]
 
 # 30 decimal digits, the precision mp.workdps(30) sets
 _RATIO_PREC = 103
+
+# the largest number any sieve of this module reaches: the end of the
+# prime-sum sieve, the base sieve of a prime scan (to the square root of its
+# largest key) and the prime pool of the ap scan
+SIEVE_BUDGET = 2 * 10**8
 
 # smallest keys at which the desk ratios drop below the asymptotic
 # comparators; see the module docstring.  For prime-qr the last prime up to
@@ -159,10 +168,14 @@ _pool = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype
 
 def _first_primes(n: int) -> np.ndarray:
     """The first n primes, sieving the pool again to twice its last prime
-    until it holds them."""
+    until it holds them; a ValueError refuses a pool past :data:`SIEVE_BUDGET`."""
     global _pool
     while _pool.size < n:
-        _pool = primes_upto(2 * int(_pool[-1]))
+        end = 2 * int(_pool[-1])
+        if end > SIEVE_BUDGET:
+            raise ValueError("the prime pool would reach %.2g, beyond the sieve budget "
+                             "(%.0e)" % (end, SIEVE_BUDGET))
+        _pool = primes_upto(end)
     return _pool[:n]
 
 
@@ -197,25 +210,67 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
         yield primes
 
 
-@dataclass(frozen=True)
-class NtRecord:
-    """One scan datum: key (prime, or (a, q) pair), extremal value, ratio."""
+# to_str(x, 20) floors x to a fixed-point value of this many bits past its
+# leading bit (mpmath 1.3's to_digits_exp at 23 digits), with this log2(10)
+_LOG2_10 = math.log(10, 2)
+_FIX_BITS = int(23 * _LOG2_10) + 10
+
+
+def _digits20(x) -> str:
+    """``to_str(x, 20)`` for a positive raw mpf x below 2^3500 and above
+    2^-3500, on integers.
+
+    As in mpmath 1.3: floor x to a fixed-point integer sf = x 2^fixprec of
+    86 bits, change radix to floor(sf 10^fixdps / 2^fixprec) (at least 25
+    digits), round its first 20 digits half-up on the 21st (a carry through
+    twenty nines adds a digit), then print fixed for a decimal exponent in
+    (-6, 20) and with ``e+``/``e-`` otherwise, trailing zeros stripped.
+    """
+    _, man, exp, bc = x
+    fixprec = _FIX_BITS - exp - bc
+    if fixprec < 0:
+        fixprec = 0
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    sd = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
+    e = len(sd) - fixdps - 1
+    d = sd[:20]
+    if sd[20] >= "5":
+        d = str(int(d) + 1)
+        if len(d) > 20:
+            d = d[:20]
+            e += 1
+    if -6 < e < 0:
+        return ("0." + "0" * (-1 - e) + d).rstrip("0")
+    if 0 <= e < 20:
+        d = (d[: e + 1] + "." + d[e + 1 :]).rstrip("0")
+        return d + "0" if d[-1] == "." else d
+    d = (d[0] + "." + d[1:]).rstrip("0")
+    if d[-1] == ".":
+        d += "0"
+    return d + "e%+d" % e
+
+
+class NtRecord(NamedTuple):
+    """One scan datum: key (prime, or (a, q) pair), extremal value, and
+    ratio, an ``mp.mpf`` at 30 digits; :meth:`csv_row` prints it to 20
+    digits with :func:`_digits20`."""
 
     key: object
     value: int
-    ratio: object  # mpf at 30 digits
+    ratio: object
 
     def csv_row(self) -> str:
-        if isinstance(self.key, tuple):
-            key = "%d mod %d" % self.key
-        else:
-            key = str(self.key)
-        return "%s,%d,%s" % (key, self.value, to_str(self.ratio._mpf_, 20))
+        key, value, ratio = self
+        if isinstance(key, tuple):
+            return "%d mod %d,%d,%s" % (*key, value, _digits20(ratio._mpf_))
+        return "%d,%d,%s" % (key, value, _digits20(ratio._mpf_))
 
 
 @dataclass
 class ScanSummary:
-    """Running max-reduction over scan records."""
+    """Running max-reduction over scan records; the ratios are compared as
+    raw mpf tuples (``mpf_gt``)."""
 
     comparator: float
     kind: str
@@ -225,7 +280,7 @@ class ScanSummary:
 
     def update(self, rec: NtRecord):
         self.count += 1
-        if self.max_ratio is None or rec.ratio > self.max_ratio:
+        if self.max_ratio is None or mpf_gt(rec.ratio._mpf_, self.max_ratio._mpf_):
             self.max_ratio = rec.ratio
             self.argmax = rec.key
 
@@ -274,23 +329,37 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
     P(a,q)/(phi(q) log q)^2.  Deterministic and restartable: records depend
     only on the key, so the records of consecutive chunks concatenate to
     those of the whole range.
+
+    The range is checked when ``scan`` is called, before any sieving: a
+    ValueError refuses it when a sieve would pass :data:`SIEVE_BUDGET`, the
+    base sieve of a prime scan (to sqrt(hi)) or the pool of an ap scan (which
+    must hold the hi-th prime, past hi log hi).  An ap pool that has to grow
+    past the budget to find the first hits is refused when it does.
     """
     if kind in ("qnr", "prime-qr"):
-        want = -1 if kind == "qnr" else 1
-        for block in segmented_primes(max(lo, 3), hi + 1):
-            values = _least_prime_with_symbol(block, want)
-            for p, v in zip(block.tolist(), values.tolist()):
-                yield NtRecord(key=p, value=v, ratio=_ratio(v, _log_squared(p)))
-    elif kind == "ap":
-        yield from _scan_ap(max(lo, 1), hi)
-    else:
-        raise ValueError("unknown scan kind %r" % (kind,))
+        if hi > 0 and math.isqrt(hi) > SIEVE_BUDGET:
+            raise ValueError("primes up to %d need a base sieve to %.2g, beyond the sieve "
+                             "budget (%.0e)" % (hi, math.isqrt(hi), SIEVE_BUDGET))
+        return _scan_primes(-1 if kind == "qnr" else 1, max(lo, 3), hi)
+    if kind == "ap":
+        if hi > 1 and hi * math.log(hi) > SIEVE_BUDGET:
+            raise ValueError("moduli up to %d need a prime pool past %.2g, beyond the sieve "
+                             "budget (%.0e)" % (hi, hi * math.log(hi), SIEVE_BUDGET))
+        return _scan_ap(max(lo, 1), hi)
+    raise ValueError("unknown scan kind %r" % (kind,))
+
+
+def _scan_primes(want: int, p_lo: int, p_hi: int) -> Iterator[NtRecord]:
+    for block in segmented_primes(p_lo, p_hi + 1):
+        values = _least_prime_with_symbol(block, want)
+        for p, v in zip(block.tolist(), values.tolist()):
+            yield NtRecord(p, v, _ratio(v, _log_squared(p)))
 
 
 def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
     for q in range(q_lo, q_hi + 1):
         if q == 1:
-            yield NtRecord(key=(0, 1), value=2, ratio=_ratio(2, _log_squared(2)))
+            yield NtRecord((0, 1), 2, _ratio(2, _log_squared(2)))
             continue
         coprime = np.gcd(np.arange(q), q) == 1
         # index of the first prime in each residue class (n if none), over a
@@ -307,7 +376,7 @@ def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
         denom = _log_squared(q, int(np.count_nonzero(coprime)))
         residues = np.nonzero(coprime)[0]
         for a, p in zip(residues.tolist(), primes[first[residues]].tolist()):
-            yield NtRecord(key=(a, q), value=p, ratio=_ratio(p, denom))
+            yield NtRecord((a, q), p, _ratio(p, denom))
 
 
 def summarize(records: Iterator[NtRecord], kind: str) -> ScanSummary:
@@ -419,7 +488,7 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     if m < 3:
         raise ValueError("m must be >= 3")
     if m > 10**8:
-        raise ValueError("m beyond the sieve budget (1e8)")
+        raise ValueError("m must be <= 1e8")
     sup = support if support is not None else getattr(g, "support", None)
     if sup is None:
         raise ValueError("need the support of g")
@@ -438,9 +507,10 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     n_end = min(math.exp(two_pi * hi_s), 1e18)
     n_end_i = int(n_end) + 2
     sieve_end = max(n_end_i, m)
-    if sieve_end > 2 * 10**8:
+    if sieve_end > SIEVE_BUDGET:
         raise ValueError(
-            "support reaches n ~ %.2g, beyond the sieve budget; shrink it" % sieve_end
+            "support reaches n ~ %.2g, beyond the sieve budget (%.0e); shrink it"
+            % (sieve_end, SIEVE_BUDGET)
         )
 
     trunc = 0.0
@@ -450,12 +520,15 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
     # primes: segmented, vectorized weights (g vanishes off its support)
     for block in segmented_primes(2, sieve_end):
         pb = block.astype(np.float64)
-        t = np.log(pb) / two_pi
-        w = np.log(pb) / np.sqrt(pb) * np.asarray(g(t), dtype=np.float64)
         below = block < m
+        lp = np.log(pb)
+        psi_m += float(lp[below].sum())
+        w = lp / np.sqrt(pb)
+        del pb  # not held while g runs
+        lp /= two_pi  # log p / 2 pi, where g is read
+        w *= np.asarray(g(lp), dtype=np.float64)
         trunc += float(w[below].sum())
         tail += float(w[~below].sum())
-        psi_m += float(np.log(pb[below]).sum())
 
     # prime powers p^k, k >= 2: p <= sqrt(end), python loop is cheap
     for p in primes_upto(int(math.isqrt(sieve_end)) + 1).tolist():

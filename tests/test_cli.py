@@ -455,17 +455,52 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
      "452062419df350a2f87cfc20a30d2c4abf8e26226ddd48c15b71572b7458df68", 9588),
     (("--kind", "ap", "--min-q", "2", "--max-q", "200"),
      "b1445fcb65fad7c1c2f8950b5d69e267a5d4086d33c8dde2a925c8f9b30467bf", 12231),
+    # the benchmark's ranges
+    (("--kind", "qnr", "--min-p", "11", "--max-p", "1000000"),
+     "8f6b1e8f8a5c50e90b3aa9a765207cee335a02efd65c0ebcf2a4b2432ae3a83f", 78494),
+    (("--kind", "ap", "--min-q", "4", "--max-q", "500"),
+     "b51765732aea6e03ac29edcb65416bda917f76bba57f6f6b2cbfae6ba3f01ed7", 76112),
 ])
 def test_nt_csv_pinned(capsys, tmp_path, argv, sha256, rows):
     # the whole CSV, every ratio digit included, as the per-record scans
     # (Miller-Rabin per prime, mp.workdps per ratio, a sort per ap block) wrote
-    # it before the block kernel and the libmp ratios replaced them
+    # it before the block kernel and the libmp ratios replaced them; the
+    # benchmark's ranges as mpmath's to_str printed them before the digit
+    # kernel replaced it
     out_file = tmp_path / "recs.csv"
     code, out, _ = run(capsys, "nt", *argv, "--out", str(out_file))
     assert code == 0
     data = out_file.read_bytes()
     assert data.count(b"\n") == rows + 1
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "ap", "--min-q", "1000000000", "--max-q", "1000000000"),
+    ("--kind", "qnr", "--min-p", str(10**18), "--max-p", str(10**18 + 100)),
+    ("--kind", "prime-qr", "--min-p", str(10**20), "--max-p", str(10**20 + 100)),
+])
+def test_nt_key_range_beyond_sieve_budget(capsys, monkeypatch, tmp_path, argv):
+    # refused before any sieving: the ap pool past the 1e9-th prime, and base
+    # sieves to 1e9 and 1e10
+    sieved = []
+    real = nt.primes_upto
+    monkeypatch.setattr(nt, "primes_upto", lambda n: sieved.append(n) or real(n))
+    out_file = tmp_path / "recs.csv"
+    code, out, err = run(capsys, "nt", *argv, "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "sieve budget" in err
+    assert sieved == [] and not out_file.exists()
+
+
+def test_nt_narrow_range_near_1e12(capsys):
+    # a base sieve to 1e6 stays well inside the budget
+    code, out, _ = run(capsys, "nt", "--kind", "qnr", "--min-p", str(10**12),
+                       "--max-p", str(10**12 + 10**5))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["count"], summary["argmax"]) == (3614, 1000000068311)
+    assert summary["max_ratio"] == "0.087756830814544301536"
 
 
 def test_nt_ap_moduli_below_four(capsys, tmp_path):

@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_int, from_man_exp, from_str, mpf_add, to_str
 
 from fel import nt
 
@@ -162,6 +163,43 @@ def test_scan_ap_sieves_as_far_as_its_first_hits(monkeypatch):
     assert sieved and max(sieved) <= 4 * largest
 
 
+def test_scan_refuses_beyond_sieve_budget(monkeypatch):
+    # refused when scan is called, before any sieving; at the edges the
+    # generator is only built
+    sieved = []
+    real = nt.primes_upto
+    monkeypatch.setattr(nt, "primes_upto", lambda n: sieved.append(n) or real(n))
+    budget = nt.SIEVE_BUDGET
+    nt.scan("qnr", 0, (budget + 1) ** 2 - 1)
+    with pytest.raises(ValueError, match="sieve budget"):
+        nt.scan("qnr", 0, (budget + 1) ** 2)
+    q = 12_253_885  # q log q <= budget < (q + 1) log (q + 1)
+    assert q * math.log(q) <= budget < (q + 1) * math.log(q + 1)
+    nt.scan("ap", 0, q)
+    with pytest.raises(ValueError, match="sieve budget"):
+        nt.scan("ap", 0, q + 1)
+    assert sieved == []
+
+
+def test_scan_ap_pool_stays_within_budget(monkeypatch):
+    # moduli 1990..2000 need the pool past 155 269; under a budget of 2e5 it
+    # stops growing at the budget and the scan is refused there
+    sieved = []
+    real = nt.primes_upto
+    monkeypatch.setattr(nt, "primes_upto", lambda n: sieved.append(n) or real(n))
+    monkeypatch.setattr(nt, "_pool", np.array([2, 3, 5, 7], dtype=np.int64))
+    monkeypatch.setattr(nt, "SIEVE_BUDGET", 200_000)
+    with pytest.raises(ValueError, match="sieve budget"):
+        list(nt.scan("ap", 1990, 2000))
+    assert sieved and max(sieved) <= 200_000
+
+
+def test_prime_sum_check_shares_the_sieve_budget(monkeypatch):
+    monkeypatch.setattr(nt, "SIEVE_BUDGET", 9_999)
+    with pytest.raises(ValueError, match="sieve budget"):
+        nt.prime_sum_check(10**4, nt.raised_cosine_bump(0.1, 0.5))
+
+
 def test_primes_upto_agrees_with_segments():
     direct = nt.primes_upto(50_000)
     segs = np.concatenate(list(nt.segmented_primes(2, 50_001, block=7_000)))
@@ -190,6 +228,42 @@ def test_primes_upto_small():
         got = nt.primes_upto(n)
         assert got.dtype == np.int64
         assert got.tolist() == [k for k in range(n + 1) if nt.is_prime_u64(k)], n
+
+
+# raw mpfs whose printed digits hit the rounding and layout edges of
+# to_str(x, 20), with the digits it prints (mpmath 1.3)
+DIGIT_EDGES = [
+    # an exact 21st digit 5 after an even 20th: half-up, not half-even
+    (mpf_add(from_int(12345678901234567890), from_str("0.5", 10)), "12345678901234567891.0"),
+    (from_int(123456789012345678905), "1.2345678901234567891e+20"),
+    # runs of nines past the 20th digit carry into a new leading digit
+    (from_str("0.0999999999999999999999", 103), "0.1"),
+    (from_str("9.99999999999999999999", 103), "10.0"),
+    # a carry that moves the number across a layout edge, both ways
+    (from_str("9.99999999999999999999e-6", 103), "0.00001"),
+    (mpf_add(from_int(99999999999999999999), from_str("0.5", 10)), "1.0e+20"),
+    # each layout without a carry, on exact values
+    (from_man_exp(1, -17), "7.62939453125e-6"),
+    (from_man_exp(1, -16), "0.0000152587890625"),
+    (from_int(10**20), "1.0e+20"),
+    (from_man_exp(1, 70), "1.1805916207174113034e+21"),
+    (from_str("0.026196057652603367311", 103), "0.026196057652603367311"),
+]
+
+
+@pytest.mark.parametrize("x, text", DIGIT_EDGES, ids=[t for _, t in DIGIT_EDGES])
+def test_digits20_edges(x, text):
+    assert nt._digits20(x) == to_str(x, 20) == text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(min_value=1, max_value=2**103 - 1), st.integers(min_value=-30, max_value=69))
+@example(2125276685243901484417244977163, -6)
+def test_digits20_equals_to_str(man, lead):
+    # positive mpfs of up to 103 bits in [2^lead, 2^(lead + 1)), about 1e-9
+    # to 1e21: the fixed, e- and e+ layouts of to_str(x, 20), the oracle
+    x = from_man_exp(man, lead + 1 - man.bit_length())
+    assert nt._digits20(x) == to_str(x, 20)
 
 
 def test_scan_qnr_small():
