@@ -19,10 +19,11 @@ import io
 import json
 import os
 import sys
-from decimal import InvalidOperation
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, InvalidOperation
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_rational
 
 from . import closed_form, lower, nt, search, tables, upper
 from .precision import PrecisionContext, Unconverged, as_penalty
@@ -124,13 +125,26 @@ def _upper_params(ns) -> upper.UpperParams:
     raise _CliError("no --params file and no shipped reference for penalty %r" % key)
 
 
+def outward_bound(bound, up: bool) -> str:
+    """``value + err`` rounded up (``up``) or ``value - err`` rounded down.
+
+    The sum is exact, of the two binary numbers at their own precision, and
+    its decimal rounding to 25 significant digits is directed, so the
+    printed end is as certified as ``bound`` itself.
+    """
+    end, err = (Fraction(*to_rational(x._mpf_)) for x in (bound.value, bound.err))
+    end += err if up else -err
+    rounding = Context(prec=25, rounding=ROUND_CEILING if up else ROUND_FLOOR)
+    return str(rounding.divide(Decimal(end.numerator), end.denominator))
+
+
 def _lower_keys(bound, ctx) -> dict:
     """The value, radius and certified lower bound of a lower-family reward."""
     with ctx.workprec():
         return {
             "value": mp.nstr(bound.value, 25),
             "err": mp.nstr(bound.err, 6),
-            "certified_lower_bound": mp.nstr(bound.value - bound.err, 25),
+            "certified_lower_bound": outward_bound(bound, up=False),
         }
 
 
@@ -143,6 +157,7 @@ def _upper_keys(bound) -> dict:
     return {
         "value": mp.nstr(bound.value, 25),  # at the value's own precision
         "err": mp.nstr(mp.mpf(bound.err), 8),
+        "certified_upper_bound": outward_bound(bound, up=True),
         "certified": True,
         "meta": bound.meta,  # floats, ints and strings only
     }

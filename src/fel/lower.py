@@ -21,9 +21,13 @@ positive axis, normalized by the L^1 norm:
 
 with every piece integrated exactly: in the variable ``u = (pi*t - c)/a`` each
 integrand is an odd polynomial times e^((1+a)u), handled by the closed-form
-antiderivatives of :mod:`fel.precision`.  ``value - err`` of the result is a
-certified lower bound for the extremal constant at that penalty, because the
-constant is defined as a supremum over a class containing this family.
+antiderivatives of :mod:`fel.precision`.  The L^1 norm is the one quadrature:
+a single integral over a quarter of the circle, written in ``tau`` in [0, 1]
+with a rational integrand, evaluated on a fixed-point integer kernel whose
+rounding bound is part of the radius (:func:`l1_norm`).  ``value - err`` of
+the result is a certified lower bound for the extremal constant at that
+penalty, because the constant is defined as a supremum over a class
+containing this family.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import fone, ftwo, fzero, mpc_add_mpf, mpc_mpf_div, mpc_mul, mpc_square
-from mpmath.libmp import mpf_add, mpf_div, mpf_hypot, mpf_mul, round_nearest as _RND
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .precision import (
     INF,
@@ -60,6 +63,9 @@ __all__ = [
     "curve_samples",
     "INF",
 ]
+
+_GUARD_BITS = 32  # fixed-point bits of the L^1 kernel past the working precision
+
 
 class NotInClassError(ValueError):
     """Infinite penalty demands a non-positive profile on the positive axis."""
@@ -131,118 +137,104 @@ def _profile(a, c, coeffs, t):
 
 
 def modulus(p: LowerParams, x) -> object:
-    """|f(x)| of the underlying L^1 function: (a/pi)|sum b_n (1+2iax)^-2n|.
+    """|f(x)| of the underlying L^1 function: (a/pi)|sum b_n w^n|, w = 1/(1+2iax)^2.
 
-    One :func:`_modulus_kernel` evaluation at the working precision.
+    Plain mpmath at the working precision, by Horner in w; :func:`l1_norm`
+    integrates its own kernel instead.
     """
     a, _, bs = p.mp_values()
-    return mp.make_mpf(_modulus_kernel(a, bs)(mp.mpf(x)._mpf_))
+    w = 1 / (1 + 2j * a * mp.mpf(x)) ** 2
+    acc = 0
+    for bn in reversed(bs):
+        acc = acc * w + bn
+    return (a / mp.pi) * abs(acc * w)
 
 
-def _modulus_kernel(a, bs):
-    """The map x -> |f(x)| on raw libmp values (``mpf`` tuples in and out).
+def _circle_kernel(bs, shift, P):
+    """The L^1 integrand tau -> |Q(w)| / (1 + tau^2) on P-bit fixed point.
 
-    |f(x)| = (a/pi) |sum_n b_n w^n| with w = 1/(1 + 2iax)^2, by Horner in w.
-    The kernel uses the working precision current when it is built (build
-    it inside ``ctx.workprec()``), round-nearest.  Its body is the chain of
-    libmp calls that mpmath's operators make for that formula on ``mpf``
-    and ``mpc`` objects, so each value is theirs bit for bit; 2a, a/pi and
-    the tuples of ``bs`` are computed once, here.
+    ``bs`` are the coefficients as Fractions, scaled here by 2^shift:
+    Q(w) = sum_n b_n 2^shift w^(n-1), w = v^2 and v = cos(phi) e^(-i phi)
+    at phi = 2 atan(tau).  With s = tau^2, cos(phi) = (1 - s)/(1 + s) and
+    sin(phi) = 2 tau/(1 + s), so a node costs two integer divisions and no
+    cosine; then Horner in w on Python ints, ``math.isqrt`` for the modulus
+    and one division by 1 + s.  Every product and quotient is floored to
+    u = 2^-P, and each b_n 2^shift rounded to nearest.
+
+    Returns ``(kernel, K)``: ``kernel`` maps an ``mpf`` tau in [0, 1] to an
+    ``mpf`` within K u of the exact integrand at tau, where, with N terms
+    and beta = sum |b_n| 2^shift,
+
+        K = 24 N beta + 3N + 2.
+
+    Flooring tau to u moves the integrand by at most 4 N beta u (|dw/dtau|
+    <= 4, |Q'| <= N beta, |d(1 + tau^2)^-1/dtau| < 1); cos(phi) and
+    sin(phi) come within u, v within 3u per part, w within 13u per part
+    (so |w| <= 1 + 2u); each Horner step adds at most
+    19 beta u + sqrt(2) u + u/2, compounded by at most 1.01 over N steps,
+    N (20 beta + 3) u in all; the square root and the last division add
+    one u each.
     """
-    prec = mp.mp.prec
-    two_a = mpf_mul(ftwo, a._mpf_, prec, _RND)
-    a_pi = mpf_div(a._mpf_, mp.pi._mpf_, prec, _RND)
-    *rest, last = [bn._mpf_ for bn in bs]
-    rest.reverse()
-    first = (mpf_add(fzero, last, prec, _RND), fzero)  # 0 * w + b_N
+    B = [round(bn * 2 ** (shift + P)) for bn in bs]
+    beta = sum(map(abs, bs)) * 2**shift
+    K = math.ceil(24 * len(B) * beta) + 3 * len(B) + 2
+    top, rest = B[-1], B[-2::-1]
+    one2 = 1 << 2 * P
 
-    def kernel(x):
-        w = mpc_mpf_div(fone, mpc_square((fone, mpf_mul(two_a, x, prec, _RND)), prec, _RND), prec, _RND)
-        acc = first
+    def kernel(tau):
+        t = to_fixed(tau._mpf_, P)
+        s = t * t  # s 2^(2P)
+        d = one2 + s
+        c = ((one2 - s) << P) // d
+        sn = (t << 2 * P + 1) // d
+        vr, vi = c * c >> P, -(c * sn >> P)
+        wr, wi = vr * vr - vi * vi >> P, vr * vi >> P - 1
+        re, im = top, 0
         for bn in rest:
-            acc = mpc_add_mpf(mpc_mul(acc, w, prec, _RND), bn, prec, _RND)
-        re, im = mpc_mul(acc, w, prec, _RND)
-        return mpf_mul(a_pi, mpf_hypot(re, im, prec, _RND), prec, _RND)
+            re, im = (re * wr - im * wi >> P) + bn, re * wi + im * wr >> P
+        return mp.make_mpf(from_man_exp((math.isqrt(re * re + im * im) << 2 * P) // d, -P))
 
-    return kernel
-
-
-def _l1_tail_start(a, bs):
-    """X beyond which the leading term dominates (no zeros of the sum).
-
-    With r = 1/|1+2iax|^2, the first nonzero b_k dominates once
-    sum_{n>k} |b_n| r^(n-k) < |b_k|; beyond that |f| is smooth and the
-    compactified substitution x = X/u integrates the whole tail.
-    """
-    k0 = next(i for i, bn in enumerate(bs) if bn != 0)
-    rest = [abs(bn) for bn in bs[k0 + 1:]]
-    if not any(rest):
-        r_star = mp.mpf("0.5")
-    else:
-        lo, hi = mp.mpf(0), mp.mpf(1)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            s = mp.mpf(0)
-            rp = mp.mpf(1)
-            for an in rest:
-                rp *= mid
-                s += an * rp
-            if s < abs(bs[k0]) / 2:
-                lo = mid
-            else:
-                hi = mid
-        r_star = lo
-    if r_star <= 0:
-        raise DegenerateError("cannot find a dominated tail region")
-    x2 = (1 / r_star - 1) / (4 * a * a)
-    return mp.sqrt(max(x2, mp.mpf(1))) * 2  # margin factor 2
+    return kernel, K
 
 
 def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
-    """L^1 norm of the underlying function, with a certified tail.
+    """L^1 norm of the underlying function, as one integral over the circle.
 
-    |f| is even, so the norm is twice the integral over [0, inf).  The head
-    [0, X] is adaptive quadrature; the tail is integrated exactly under the
-    compactification x = X/u (the integrand extends smoothly to u = 0 once X
-    is past the dominated-tail point).  The term-wise majorant
-    (a/pi) sum |b_n| (2a x)^(-2n) is evaluated at X as an independent upper
-    bound on the tail and folded into the cross-check below.  The target is
-    absolute, so a norm under 1/sqrt(2) is redone with b scaled exactly by
-    the power of two that brings it nearest 1 (b = 1e-200 gets the radius of b = 1).
+    With x = tan(phi)/(2a) the dilation cancels and
+    ||f||_1 = (1/pi) int_0^(pi/2) |Q_b(w)| dphi, Q_b(w) = sum_n b_n w^(n-1),
+    w = cos^2(phi) e^(-2i phi); tau = tan(phi/2) makes the integrand
+    rational:
+
+        ||f||_1 = (2/pi) int_0^1 |Q_b(w)| / (1 + tau^2) dtau,
+        w = (1 - tau^2)^2 (1 - i tau)^4 / (1 + tau^2)^4.
+
+    A finite interval and no tail, for every a and c.  The integrand is
+    :func:`_circle_kernel` at ``prec + 32`` bits under
+    :func:`fel.precision.integrate_finite`; ``err`` is the quadrature's
+    radius plus the kernel's rounding bound K 2^-P, times 2/pi.  The target
+    is absolute, so b is first scaled exactly by the power of two that
+    brings its largest coefficient into (1/2, 2) when it is below that, and
+    a norm under 1/sqrt(2) is redone with b scaled by the power of two that
+    brings it nearest 1 (b = 1e-200 gets the radius of b = 1).
     """
+    bs = [Fraction(bn) for bn in p.b]
+    top = max(abs(bn) for bn in bs)
+    shift = max(0, top.denominator.bit_length() - top.numerator.bit_length())
     with ctx.workprec():
-        a, _, bs = p.mp_values()
-        if all(bn == 0 for bn in bs):
-            raise DegenerateError("all coefficients vanish")
-        X = _l1_tail_start(a, bs)
-        l1 = _l1_quadrature(a, bs, X, ctx, 0)
-        shift = -int(mp.nint(mp.log(l1.value, 2))) if l1.value > 0 else 0
-        if shift > 0:
-            l1 = _l1_quadrature(a, [mp.ldexp(bn, shift) for bn in bs], X, ctx, shift)
+        l1 = _l1_circle(bs, shift, ctx)
+        nearest_one = -int(mp.nint(mp.log(l1.value, 2))) if l1.value > 0 else 0
+        if nearest_one > shift:
+            l1 = _l1_circle(bs, nearest_one, ctx)
         return l1
 
 
-def _l1_quadrature(a, bs, X, ctx: PrecisionContext, shift) -> ErrBounded:
-    """:func:`l1_norm` of ``bs`` past the tail start ``X``, scaled by 2^-shift."""
-    modulus_at = _modulus_kernel(a, bs)
-    prec, Xv = mp.mp.prec, X._mpf_
-    head = integrate_finite(lambda x: mp.make_mpf(modulus_at(x._mpf_)), 0, X, ctx)
-
-    def tail_integrand(u):  # |f(X/u)| * X/u^2; the Gauss nodes never reach u = 0
-        u = u._mpf_
-        fx = modulus_at(mpf_div(Xv, u, prec, _RND))
-        return mp.make_mpf(mpf_div(mpf_mul(fx, Xv, prec, _RND), mpf_mul(u, u, prec, _RND), prec, _RND))
-
-    tail = integrate_finite(tail_integrand, 0, 1, ctx)
-    # sanity: tail must sit below its term-wise majorant
-    majorant = (a / mp.pi) * mp.fsum(
-        abs(bn) * (2 * a * X) ** (-(2 * n)) * X / (2 * n - 1)
-        for n, bn in enumerate(bs, start=1)
-    )
-    if tail.value > majorant * (1 + mp.mpf("1e-6")) + tail.err:
-        raise RuntimeError("tail integral exceeds its majorant; inconsistent state")
-    return ErrBounded(mp.ldexp(2 * (head.value + tail.value), -shift),
-                      mp.ldexp(2 * (head.err + tail.err), -shift))
+def _l1_circle(bs, shift, ctx: PrecisionContext) -> ErrBounded:
+    """:func:`l1_norm` of ``bs`` scaled by 2^shift, scaled back."""
+    P = mp.mp.prec + _GUARD_BITS
+    kernel, K = _circle_kernel(bs, shift, P)
+    quad = integrate_finite(kernel, 0, 1, ctx)
+    return ErrBounded(mp.ldexp(2 * quad.value / mp.pi, -shift),
+                      mp.ldexp(2 * (quad.err + mp.ldexp(K, -P)) / mp.pi, -shift))
 
 
 def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, coeffs, ctx: PrecisionContext):

@@ -64,9 +64,10 @@ __all__ = [
 # 30 decimal digits, the precision mp.workdps(30) sets
 _RATIO_PREC = 103
 
-# the largest number any sieve of this module reaches: the end of the
-# prime-sum sieve, the base sieve of a prime scan (to the square root of its
-# largest key) and the prime pool of the ap scan
+# the largest number any sieve of this module reaches, and the most numbers
+# it flags: the end of the prime-sum sieve, the keys of a prime scan and its
+# base sieve (to the square root of its largest key), and the prime pool of
+# the ap scan
 SIEVE_BUDGET = 2 * 10**8
 
 # smallest keys at which the desk ratios drop below the asymptotic
@@ -191,6 +192,8 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
     through :func:`primes_upto`; no odd composite lies below 9.
     """
     lo = max(lo, 2)
+    if lo >= hi:
+        return
     base = primes_upto(math.isqrt(hi - 1))[1:].tolist() if hi > 9 else []
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
@@ -331,16 +334,21 @@ def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
     those of the whole range.
 
     The range is checked when ``scan`` is called, before any sieving: a
-    ValueError refuses it when a sieve would pass :data:`SIEVE_BUDGET`, the
-    base sieve of a prime scan (to sqrt(hi)) or the pool of an ap scan (which
-    must hold the hi-th prime, past hi log hi).  An ap pool that has to grow
+    ValueError refuses it when a sieve would pass :data:`SIEVE_BUDGET`: the
+    blocks of a prime scan (one flag per key of [max(lo, 3), hi]), its base
+    sieve (to sqrt(hi)), or the pool of an ap scan (which must hold the
+    hi-th prime, past hi log hi).  An ap pool that has to grow
     past the budget to find the first hits is refused when it does.
     """
     if kind in ("qnr", "prime-qr"):
+        lo = max(lo, 3)
+        if hi - lo + 1 > SIEVE_BUDGET:
+            raise ValueError("the %d keys of [%d, %d] are more than the sieve budget (%.0e)"
+                             % (hi - lo + 1, lo, hi, SIEVE_BUDGET))
         if hi > 0 and math.isqrt(hi) > SIEVE_BUDGET:
             raise ValueError("primes up to %d need a base sieve to %.2g, beyond the sieve "
                              "budget (%.0e)" % (hi, math.isqrt(hi), SIEVE_BUDGET))
-        return _scan_primes(-1 if kind == "qnr" else 1, max(lo, 3), hi)
+        return _scan_primes(-1 if kind == "qnr" else 1, lo, hi)
     if kind == "ap":
         if hi > 1 and hi * math.log(hi) > SIEVE_BUDGET:
             raise ValueError("moduli up to %d need a prime pool past %.2g, beyond the sieve "

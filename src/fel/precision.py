@@ -16,7 +16,11 @@ fractions (or :data:`INF`) and knots or coefficients to exact decimals.
 
 Error accounting is first-order honest rather than interval arithmetic: a
 reported radius is an estimate that must survive a precision-doubling
-recomputation (the value may not move by more than the radius).  Routines
+recomputation (the value may not move by more than the radius).  Callers
+add the rounding bounds they can state: the L^1 kernel of :mod:`fel.lower`
+adds its fixed-point bound to the quadrature radius; elsewhere rounding is
+covered by a relative ``round_eps`` of a few digits below the working
+precision.  Routines
 that cannot meet their tolerance within the refinement budget raise
 :class:`Unconverged` instead of returning a silently degraded value.
 

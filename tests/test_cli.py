@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fel import cli, lower, nt, tables
 from fel.lower import LowerParams
-from fel.precision import Unconverged
+from fel.precision import ErrBounded, Unconverged
 from fel.upper import UpperParams, residual_np
 
 
@@ -32,10 +32,10 @@ LOWER_EVAL_REPORT = """\
 {
   "penalty": "1",
   "value": "1.146006683318576657133289",
-  "err": "4.45246e-32",
+  "err": "3.81297e-32",
   "certified_lower_bound": "1.146006683318576657133289",
   "l1_norm": "0.999995488249247",
-  "l1_err": "3.86518e-32",
+  "l1_err": "3.30716e-32",
   "params": {
     "a": "0.246",
     "c": "0.626",
@@ -61,10 +61,10 @@ LOWER_EVAL_REPORT = """\
 # (value, err, l1_norm, l1_err) of ``lower-eval --A k --digits 40`` for the
 # shipped penalties other than 1, which LOWER_EVAL_REPORT pins in full
 LOWER_EVAL_PINS = {
-    "1/4": ("1.317060743510269539053461", "3.0697e-32", "0.999999161328282", "2.31072e-32"),
-    "1/3": ("1.27722538911180013402306", "1.85382e-32", "1.00000671334217", "1.43145e-32"),
-    "1/2": ("1.221120473792043987718743", "8.81117e-33", "0.999990417366094", "7.01557e-33"),
-    "3": ("1.060820551470143623623494", "2.08912e-32", "0.999986592522738", "1.94932e-32"),
+    "1/4": ("1.317060743510269539053461", "5.3279e-34", "0.999999161328282", "2.04529e-34"),
+    "1/3": ("1.27722538911180013402306", "3.13644e-34", "1.00000671334217", "4.55667e-35"),
+    "1/2": ("1.221120473792043987718743", "1.17799e-33", "0.999990417366094", "7.64674e-34"),
+    "3": ("1.060820551470143623623494", "2.60587e-34", "0.999986592522738", "4.56459e-35"),
 }
 
 UPPER_EVAL_REPORT = """\
@@ -72,6 +72,7 @@ UPPER_EVAL_REPORT = """\
   "penalty": "3",
   "value": "1.062392981791822085227474",
   "err": "1.0017046e-8",
+  "certified_upper_bound": "1.062392991808867948819124",
   "certified": true,
   "meta": {
     "grid_step": 1.9535643932908133e-05,
@@ -119,6 +120,26 @@ def test_lower_eval_pinned(capsys, k):
     assert code == 0
     rep = json.loads(out)
     assert (rep["value"], rep["err"], rep["l1_norm"], rep["l1_err"]) == LOWER_EVAL_PINS[k]
+
+
+def test_lower_eval_tiny_first_coefficient(capsys, tmp_path):
+    # the norm has no tail, so nothing hangs on the first coefficient's size
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"a": "1", "c": "0.5", "b": ["1e-30", "1"]}))
+    code, out, _ = run(capsys, "lower-eval", "--A", "1", "--params", str(f))
+    assert code == 0
+    assert json.loads(out)["l1_norm"] == "0.25"
+
+
+def test_outward_bound_rounds_away_from_the_value():
+    # 2/3 -+ 1e-30 to 25 digits: round-nearest would print ...667 both ways
+    with mp.workdps(40):
+        for sign in (1, -1):
+            b = ErrBounded(sign * mp.mpf(2) / 3, mp.mpf("1e-30"))
+            lo, hi = cli.outward_bound(b, up=False), cli.outward_bound(b, up=True)
+            assert {lo, hi} == {"%s0.666666666666666666666666%d" % ("-" * (sign < 0), d) for d in (6, 7)}
+            assert mp.mpf(lo) < b.value - b.err < b.value + b.err < mp.mpf(hi)
+        assert cli.outward_bound(ErrBounded(mp.mpf(1), mp.mpf(0)), up=False) == "1"
 
 
 def test_lower_eval_quarter(capsys):

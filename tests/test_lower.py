@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fel import lower, tables
 from fel.lower import (
@@ -22,16 +22,6 @@ from fel.lower import (
 from fel.precision import PrecisionContext, integrate_finite, isolate_sign_changes, odd_poly_eval
 
 CANON = LowerParams(a="1", c="0", b=("-2",))
-
-
-def modulus_oracle(a, bs, x):
-    """(a/pi)|sum b_n w^n|, w = 1/(1+2iax)^2, on mpmath objects: the oracle
-    that the libmp kernel ``lower._modulus_kernel`` equals bit for bit."""
-    w = 1 / (1 + 2j * a * x) ** 2
-    acc = 0
-    for bn in reversed(bs):  # Horner in w: sum b_n w^n = w * (b_1 + w * (b_2 + ...))
-        acc = acc * w + bn
-    return (a / mp.pi) * abs(acc * w)
 
 
 @pytest.fixture(scope="module")
@@ -114,56 +104,84 @@ def test_modulus_matches_inverse_transform(ctx30, reference):
                 assert abs(abs(inv.value) - modulus(p, x)) < 1e-10
 
 
-@pytest.mark.parametrize("digits", [30, 40, 100])
-def test_modulus_kernel_equals_oracle(digits, reference, monkeypatch):
-    # the kernel's mpf tuples equal the oracle's at random, negative and zero
-    # x, for the references and for both kernels of l1_norm's small-norm path,
-    # which rescales b = 1e-200 by a power of two
-    ctx = PrecisionContext.make(digits)
-    kernel, built = lower._modulus_kernel, []
-    monkeypatch.setattr(lower, "_modulus_kernel", lambda a, bs: built.append((a, bs)) or kernel(a, bs))
-    l1_norm(LowerParams(a="1", c="0", b=("1e-200",)), ctx)
-    assert len(built) == 2 and built[1][1][0] > 2**600 * built[0][1][0]
-    rng = random.Random(digits)
-    with ctx.workprec():
-        for _, p in reference.values():
-            a, _, bs = p.mp_values()
-            built.append((a, bs))
-        xs = [mp.mpf(0), mp.mpf("-0.75")] + [mp.mpf(rng.uniform(-40, 40)) / 3 for _ in range(30)]
-        for a, bs in built:
-            at = kernel(a, bs)
-            for x in xs:
-                assert at(x._mpf_) == modulus_oracle(a, bs, x)._mpf_, (a, x)
-        _, p = reference["1"]
-        a, _, bs = p.mp_values()
-        assert all(modulus(p, x)._mpf_ == modulus_oracle(a, bs, x)._mpf_ for x in xs)
-
-
 def test_l1_norm_canonical(ctx40):
     r = l1_norm(CANON, ctx40)
     assert abs(r.value - 1) <= r.err + 1e-25
 
 
-# quadrature panels of head and tail at 40 digits: a change to the panel
-# test or to the integrand's rounding that costs panels shows here
-L1_PANELS = {"1/4": 30, "1/3": 28, "1/2": 22, "1": 28, "3": 38}
+# quadrature panels of the circle integral at 40 digits: a change to the
+# panel test or to the integrand's rounding that costs panels shows here
+L1_PANELS = {"1/4": 27, "1/3": 27, "1/2": 21, "1": 29, "3": 39}
 
 
 def test_l1_norm_reference_normalization(ctx40, reference, monkeypatch):
-    kernel = lower._modulus_kernel
+    kernel = lower._circle_kernel
     calls = []
 
-    def counting(a, bs):
-        at = kernel(a, bs)
-        return lambda x: calls.append(x) or at(x)
+    def counting(bs, shift, P):
+        at, K = kernel(bs, shift, P)
+        return (lambda tau: calls.append(tau) or at(tau)), K
 
-    monkeypatch.setattr(lower, "_modulus_kernel", counting)
+    monkeypatch.setattr(lower, "_circle_kernel", counting)
     for key, (_, p) in reference.items():
         calls.clear()
         r = l1_norm(p, ctx40)
         assert abs(r.value - 1) < 1e-3, key
-        # 24 + 48 * panels evaluations for each of head and tail
-        assert len(calls) == 48 + 48 * L1_PANELS[key], key
+        assert r.err < 1e-31, key
+        # one integral over [0, 1]: 24 + 48 * panels evaluations
+        assert len(calls) == 24 + 48 * L1_PANELS[key], key
+
+
+HOSTILE_B = [("1e-200",), ("1e-30", "1"), ("1e-200", "1", "-3")]
+
+
+def test_l1_norm_hostile_first_coefficient(ctx40):
+    # no tail, so no dominated-tail search: a tiny first coefficient is
+    # legal, and moves the norm of b = (0, 1) and (0, 1, -3) by about itself
+    with ctx40.workprec():
+        for b, want in zip(HOSTILE_B[1:], ("0.25", "0.47398291001309106224")):
+            r = l1_norm(LowerParams(a="0.25", c="0.6", b=b), ctx40)
+            assert abs(r.value - mp.mpf(want)) < 1e-20 and r.err < 1e-31, b
+
+
+@pytest.fixture(scope="module")
+def circle_kernels(reference):
+    """(b, shift) of every kernel that l1_norm builds at 30 digits for the
+    references and the hostile first coefficients."""
+    built = []
+    kernel = lower._circle_kernel
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(lower, "_circle_kernel", lambda bs, shift, P: built.append((bs, shift)) or kernel(bs, shift, P))
+        ctx = PrecisionContext.make(30)
+        for p in [p for _, p in reference.values()] + [LowerParams(a="1", c="0.5", b=b) for b in HOSTILE_B]:
+            l1_norm(p, ctx)
+    return built
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+@settings(max_examples=25, deadline=None)
+@given(tau=st.floats(min_value=0.0, max_value=1.0))
+@example(tau=0.0)
+@example(tau=1.0)
+@example(tau=5e-324)
+def test_circle_kernel_within_its_bound(circle_kernels, digits, tau):
+    # the fixed-point integrand against |Q_b(w)| / (1 + tau^2) by mpmath at
+    # twice the digits, from the rational form of w: within the stated
+    # K 2^-P, which is below 10^-digits
+    P = mp.libmp.dps_to_prec(digits) + lower._GUARD_BITS
+    assert len(circle_kernels) == 11  # each hostile norm is below 1/sqrt(2): rescaled once
+    for bs, shift in circle_kernels:
+        kernel, K = lower._circle_kernel(bs, shift, P)
+        with mp.workdps(2 * digits):
+            t = mp.mpf(tau)
+            w = (1 - t * t) ** 2 * (1 - 1j * t) ** 4 / (1 + t * t) ** 4
+            acc = 0
+            for bn in reversed(bs):
+                acc = acc * w + mp.mpf(bn.numerator) / bn.denominator
+            exact = mp.ldexp(abs(acc), shift) / (1 + t * t)
+            bound = mp.ldexp(K, -P)
+            assert abs(kernel(t) - exact) <= bound, (bs, shift)
+            assert bound < mp.mpf(10) ** -digits
 
 
 def _sign_changes(p, lo, ctx):

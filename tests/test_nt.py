@@ -170,14 +170,28 @@ def test_scan_refuses_beyond_sieve_budget(monkeypatch):
     real = nt.primes_upto
     monkeypatch.setattr(nt, "primes_upto", lambda n: sieved.append(n) or real(n))
     budget = nt.SIEVE_BUDGET
-    nt.scan("qnr", 0, (budget + 1) ** 2 - 1)
+    edge = (budget + 1) ** 2  # the first key whose base sieve passes the budget
+    nt.scan("qnr", edge - 10, edge - 1)
     with pytest.raises(ValueError, match="sieve budget"):
-        nt.scan("qnr", 0, (budget + 1) ** 2)
+        nt.scan("qnr", edge - 10, edge)
+    nt.scan("prime-qr", 0, budget + 2)  # the budget's keys 3..budget + 2
+    for lo, hi in ((0, budget + 3), (edge - budget - 1, edge - 1)):
+        with pytest.raises(ValueError, match="sieve budget"):
+            nt.scan("prime-qr", lo, hi)
     q = 12_253_885  # q log q <= budget < (q + 1) log (q + 1)
     assert q * math.log(q) <= budget < (q + 1) * math.log(q + 1)
     nt.scan("ap", 0, q)
     with pytest.raises(ValueError, match="sieve budget"):
         nt.scan("ap", 0, q + 1)
+    assert sieved == []
+
+
+def test_empty_scan_sieves_nothing(monkeypatch):
+    sieved = []
+    real = nt.primes_upto
+    monkeypatch.setattr(nt, "primes_upto", lambda n: sieved.append(n) or real(n))
+    assert list(nt.scan("qnr", 4 * 10**16, 10**16)) == []
+    assert list(nt.segmented_primes(10**16, 10**16)) == []
     assert sieved == []
 
 

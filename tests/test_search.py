@@ -240,8 +240,7 @@ def test_fast_lower_hostile_first_coefficient(ctx30):
     # a tiny first coefficient: the old tail start sent X to about 1e100
     # (-266.15 for the first set, -1e9 with warnings for the second).  A
     # first coefficient d moves the reward by O(d), so the reward of the
-    # set with b_1 = 0 is the reference at 30 digits; l1_norm refuses the
-    # sets themselves (no dominated tail region)
+    # set with b_1 = 0 is the reference at 30 digits
     for b, b0 in (([1e-200, 1.0, -3.0], ("0", "1", "-3")), ([1e-320, 1.0], ("0", "1"))):
         exact = lower.reward(lower.LowerParams(a=1, c="0.5", b=b0), "1", ctx30)
         with warnings.catch_warnings():
@@ -452,5 +451,5 @@ def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
     assert rows == [
         {"kind": "lower", "restart": 0, "value": 1.0792990301987424, "nevals": 400},
         {"kind": "lower", "restart": 1, "value": 1.1144687602137529, "nevals": 400},
-        {"kind": "lower-final", "value": 1.1144687602137517, "err": 2.229049223132653e-34},
+        {"kind": "lower-final", "value": 1.1144687602137517, "err": 2.2290574407537237e-34},
     ]
