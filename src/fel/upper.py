@@ -15,7 +15,8 @@ extremal constant at penalty A (weak duality).  Certification combines an
 exact bound on the curvature |residual''| (second moments of the weight), a
 closed-form decreasing tail majorant, and a branch-and-bound grid over
 [0, t_max] (the modulus is even in t because the weight is real-valued); the
-witness maximum is then polished at full working precision.
+witness maximum is then polished at full working precision by safeguarded
+Newton on the residual's closed-form first and second derivatives.
 
 The float form of the residual, :func:`residual_np`, is the numpy kernel
 behind the branch-and-bound grid, the local-maxima scan and the plots.  The
@@ -41,7 +42,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, ftwo, fzero, mpc_abs, mpc_div, mpc_exp, mpc_log, mpc_mpf_div
-from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub, mpf_mul_int, round_nearest as _RND
+from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub, mpf_add, mpf_cos_sin, mpf_div, mpf_mul
+from mpmath.libmp import mpf_mul_int, mpf_neg, mpf_sub, round_nearest as _RND
 
 from .precision import (
     INF,
@@ -165,6 +167,80 @@ def _residual_modulus(up: UpperParams):
     """
     kernel, prec = _residual_kernel(up), mp.mp.prec
     return lambda t: mp.make_mpf(mpc_abs(kernel(t._mpf_), prec, _RND))
+
+
+def _residual_slope(up: UpperParams):
+    """The map t -> (h, h', h''), ``h = |residual|^2``, on raw libmp values.
+
+    Built, like :func:`_residual_kernel`, at the working precision current
+    when it is built, round-nearest.  It takes the Abel form of
+    :func:`fast_sup`, ``residual = N / (1 - 2it)`` with
+
+        N(t) = d_0 + sum_m d_m e^{pi T_m} e^{-i k_m t},   k_m = 2 pi T_m,
+
+    so that ``N' = sum -i k_m (...)``, ``N'' = sum -k_m^2 (...)``, and
+
+        r' = (N' + 2i r) / (1 - 2it),   r'' = (N'' + 4i r') / (1 - 2it),
+        h' = 2 Re(conj(r) r'),   h'' = 2 (|r'|^2 + Re(conj(r) r'')).
+
+    The weights ``d_m e^{pi T_m}`` and the ``k_m`` are computed once,
+    here; each ``e^{-i k_m t}`` once per ``t``.
+    """
+    prec = mp.mp.prec
+    cs = up.coefficients() + [mp.mpf(0)]  # c_N = 0
+    d0 = (2 + 2 * cs[0])._mpf_
+    terms = []
+    for m, T in enumerate(up.mp_knots(), 1):
+        k = 2 * mp.pi * T
+        terms.append(((2 * (cs[m] - cs[m - 1]) * mp.e ** (mp.pi * T))._mpf_, k._mpf_, (k * k)._mpf_))
+    add, sub, mul = (functools.partial(op, prec=prec, rnd=_RND) for op in (mpf_add, mpf_sub, mpf_mul))
+    twice = functools.partial(mpf_mul_int, n=2, prec=prec, rnd=_RND)
+
+    def kernel(t):
+        t2 = twice(t)
+        q = add(fone, mul(t2, t2))
+
+        def over_d(x, y):  # (x + iy) / (1 - 2it) = (x + iy)(1 + 2it) / (1 + 4t^2)
+            return (mpf_div(sub(x, mul(t2, y)), q, prec, _RND),
+                    mpf_div(add(y, mul(t2, x)), q, prec, _RND))
+
+        n_re, n_im = d0, fzero   # N, N' and N'' as (real, imaginary) pairs
+        n1_re = n1_im = n2_re = n2_im = fzero
+        for w, k, k2 in terms:
+            c, s = mpf_cos_sin(mul(k, t), prec, _RND)
+            e_re, e_im = mul(w, c), mpf_neg(mul(w, s))  # d_m e^{pi T_m} e^{-i k_m t}
+            n_re, n_im = add(n_re, e_re), add(n_im, e_im)
+            n1_re, n1_im = add(n1_re, mul(k, e_im)), sub(n1_im, mul(k, e_re))
+            n2_re, n2_im = sub(n2_re, mul(k2, e_re)), sub(n2_im, mul(k2, e_im))
+        r_re, r_im = over_d(n_re, n_im)
+        r1_re, r1_im = over_d(sub(n1_re, twice(r_im)), add(n1_im, twice(r_re)))
+        r2_re, r2_im = over_d(sub(n2_re, twice(twice(r1_im))), add(n2_im, twice(twice(r1_re))))
+        h = add(mul(r_re, r_re), mul(r_im, r_im))
+        h1 = twice(add(mul(r_re, r1_re), mul(r_im, r1_im)))
+        h2 = twice(add(add(mul(r1_re, r1_re), mul(r1_im, r1_im)), add(mul(r_re, r2_re), mul(r_im, r2_im))))
+        return h, h1, h2
+
+    return kernel
+
+
+def _modulus_slope(up: UpperParams):
+    """t -> (f', f'') for ``f = |residual|``, on ``mpf`` objects, by :func:`_residual_slope`.
+
+    With ``f = sqrt(h)``: ``f' = h' / (2f)`` and ``f'' = (h'' - 2 f'^2) / (2f)``.
+    A zero of the residual is a minimum of ``f``, reported as ``(0, 1)``.
+    Built at the working precision of the call.
+    """
+    kernel = _residual_slope(up)
+
+    def slope(t):
+        h, h1, h2 = (mp.make_mpf(x) for x in kernel(t._mpf_))
+        if h == 0:
+            return mp.mpf(0), mp.mpf(1)
+        two_f = 2 * mp.sqrt(h)
+        d1 = h1 / two_f
+        return d1, (h2 - 2 * d1 * d1) / two_f
+
+    return slope
 
 
 def _alternation(A, n: int) -> np.ndarray:
@@ -411,13 +487,18 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
     scanned.  A closed-form decreasing majorant limits the scan window, a
     branch-and-bound grid with second-order cell certificates (from the
     closed-form curvature bound) certifies the window to a slack of 1e-8, and
-    the witness is re-evaluated and polished at full working precision.  The
-    grid starts at 1e-2 cells and splits only the cells whose certificate
-    exceeds the witness plus the slack, so the starting width sets the work,
-    not the certificate.  The certificate is ``sup <= value + err``; by weak
+    the witness is polished at full working precision: safeguarded Newton
+    (:func:`maximize_scalar`) from the float witness, on the slope of
+    :func:`_modulus_slope`, within one finest cell of it.  ``value`` is
+    :func:`_residual_modulus` at the polished point.  The grid starts at
+    1e-2 cells and splits only the cells whose certificate exceeds the
+    witness plus the slack, so the starting width sets the work, not the
+    certificate.  The certificate is ``sup <= value + err``; by weak
     duality the same number bounds the extremal constant at this penalty.
-    ``meta`` reports the finest cell width (``grid_step``) and the number of
-    cell midpoints evaluated (``cells``).
+    ``meta`` reports the finest cell width (``grid_step``), the number of
+    cell midpoints evaluated (``cells``), the window (``t_max``), the
+    slack, the polished point (``witness_t``) and the polish's evaluations
+    of the modulus and its slope (``polish_evals``).
     """
     with ctx.workprec():
         L2, C = _grid_curvature_bound(up)
@@ -433,7 +514,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
         half = max(finest, 1e-7)
         lo = max(0.0, wt - half)
         hi = min(float(t_max), wt + half)
-        polish = maximize_scalar(abs_residual, lo, hi, ctx)
+        polish = maximize_scalar(abs_residual, _modulus_slope(up), wt, lo, hi, ctx)
         value = polish.value
         float_margin = mp.mpf("1e-13") * C
         # a float witness above the polished value by more than the float
@@ -451,6 +532,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
             "t_max": float(t_max),
             "slack": _DEFAULT_SLACK,
             "witness_t": mp.nstr(polish.meta["argmax"], 12),
+            "polish_evals": polish.meta["evals"],
         }
         return ErrBounded(value, err, meta)
 
@@ -487,7 +569,8 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
     """Refined local maxima of |residual| on [t_lo, t_hi].
 
     Grid detection (strict interior maxima plus dominating endpoints)
-    followed by full-precision polish of each candidate.  Returns a list of
+    followed by the full-precision polish of :func:`sup_norm` from each
+    candidate, within two grid steps of it.  Returns a list of
     (t, value) pairs in increasing t.  ``t`` is the code's frequency; the
     positions quoted by the acceptance criteria are ``t/pi``.  Knots that take
     the float grid out of range raise ``ValueError``.
@@ -509,12 +592,12 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
             prev = float(ts[i])
         if v[-1] >= v[-2] and (not cand or ts[-1] - ts[cand[-1]] > 4 * step):
             cand.append(samples)
-        abs_residual = _residual_modulus(up)
+        abs_residual, slope = _residual_modulus(up), _modulus_slope(up)
         out = []
         for i in cand:
             lo = max(t_lo, float(ts[i]) - 2 * step)
             hi = min(t_hi, float(ts[i]) + 2 * step)
-            m = maximize_scalar(abs_residual, lo, hi, ctx)
+            m = maximize_scalar(abs_residual, slope, float(ts[i]), lo, hi, ctx)
             out.append((m.meta["argmax"], m.value))
         out.sort(key=lambda p: p[0])
         merged = []

@@ -79,7 +79,8 @@ UPPER_EVAL_REPORT = """\
     "cells": 10194,
     "t_max": 40.10902127153235,
     "slack": 1e-08,
-    "witness_t": "6.08592174054e-19"
+    "witness_t": "0.0",
+    "polish_evals": 2
   },
   "params": {
     "A": "3",

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from fel import precision
+from fel import precision, tables, upper
 from fel.precision import (
     ErrBounded,
     PrecisionContext,
@@ -251,17 +252,162 @@ def test_sign_correctness_sampling(ctx40):
             assert len(signs) <= 1
 
 
+def golden_section_oracle(f, lo, hi, ctx):
+    """The polish that safeguarded Newton replaced in ``maximize_scalar``: a
+    48-interval coarse scan picks the best bracket and golden section
+    refines it to ``(hi - lo) 10^(-2 digits/3)``."""
+    with ctx.workprec():
+        lo = mp.mpf(lo)
+        hi = mp.mpf(hi)
+        if not lo < hi:
+            raise ValueError("empty bracket")
+        round_eps = mp.mpf(10) ** (-(ctx.digits - 3))
+        coarse = 48
+        xs = [lo + (hi - lo) * i / coarse for i in range(coarse + 1)]
+        vs = [mp.mpf(f(x)) for x in xs]
+        ibest = max(range(coarse + 1), key=lambda i: vs[i])
+        a = xs[max(ibest - 1, 0)]
+        b = xs[min(ibest + 1, coarse)]
+
+        invphi = (mp.sqrt(5) - 1) / 2
+        x1 = b - invphi * (b - a)
+        x2 = a + invphi * (b - a)
+        f1 = mp.mpf(f(x1))
+        f2 = mp.mpf(f(x2))
+        wtol = max((hi - lo) * mp.mpf(10) ** (-(2 * ctx.digits) // 3), mp.mpf(10) ** (-(ctx.digits + 5)))
+        for _ in range(2000):
+            if b - a <= wtol:
+                break
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = mp.mpf(f(x2))
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = mp.mpf(f(x1))
+        xm = (a + b) / 2
+        vm = mp.mpf(f(xm))
+        cand = [(vm, xm), (f1, x1), (f2, x2)]
+        vbest, xbest = max(cand, key=lambda t: t[0])
+        spread = max(abs(vbest - v) for v, _ in cand)
+        boundary = False
+        if xbest - lo <= 2 * wtol and vs[0] >= vbest - spread:
+            boundary, xbest, vbest = True, lo, max(vs[0], vbest)
+        elif hi - xbest <= 2 * wtol and vs[-1] >= vbest - spread:
+            boundary, xbest, vbest = True, hi, max(vs[-1], vbest)
+        verr = spread + abs(vbest) * round_eps + mp.mpf(ctx.target_abs_err)
+        return ErrBounded(vbest, verr, meta={"argmax": xbest, "boundary": boundary})
+
+
+def bowl_slope(centre):
+    """(f', f'') of the bowl ``-(t - centre)^2``."""
+    return lambda t: (-2 * (t - mp.mpf(centre)), mp.mpf(-2))
+
+
 def test_maximize_quadratic_bowl(ctx40):
-    r = maximize_scalar(lambda t: -((t - mp.mpf("0.5")) ** 2), 0, 1, ctx40)
+    r = maximize_scalar(lambda t: -((t - mp.mpf("0.5")) ** 2), bowl_slope("0.5"), 0, 0, 1, ctx40)
     assert abs(r.meta["argmax"] - mp.mpf("0.5")) < 1e-20
     assert abs(r.value) < 1e-30
     assert not r.meta["boundary"]
 
 
 def test_maximize_boundary_status(ctx40):
-    r = maximize_scalar(lambda t: t, 0, 1, ctx40)
+    r = maximize_scalar(lambda t: t, lambda t: (mp.mpf(1), mp.mpf(0)), 0, 0, 1, ctx40)
     assert r.meta["boundary"]
     assert abs(r.meta["argmax"] - 1) < 1e-20
+
+
+# a double well tilted to the right: local maxima near -0.9873 and 1.0123,
+# a local minimum near 0.025
+def tilted(t):
+    return -((t * t - 1) ** 2) + t / 10
+
+
+def tilted_slope(t):
+    return -4 * t * (t * t - 1) + mp.mpf(1) / 10, -12 * t * t + 4
+
+
+@pytest.mark.parametrize("start, lo, hi, argmax, boundary", [
+    ("0.3", "0.5", 1, 1, True),        # rising over the whole bracket: a boundary
+    ("-0.3", "-0.9", 0, "-0.9", True),  # falling over the whole bracket
+    ("0.8", -2, 2, "1.0123", False),   # two local maxima: the one uphill from the start
+    ("-0.8", -2, 2, "-0.9873", False),
+    ("0.025", -2, 2, "1.0123", False),  # convex start (f'' > 0)
+    ("1.99", "0.5", 2, "1.0123", False),
+])
+def test_maximize_safeguards(ctx40, start, lo, hi, argmax, boundary):
+    r = maximize_scalar(tilted, tilted_slope, start, lo, hi, ctx40)
+    with ctx40.workprec():
+        assert abs(r.meta["argmax"] - mp.mpf(argmax)) < 1e-4
+        assert r.meta["boundary"] == boundary
+        assert r.value == tilted(r.meta["argmax"]) >= tilted(mp.mpf(start))
+        if not boundary:  # converged: f'^2 / (2|f''|) is below |f| 10^-37
+            assert abs(tilted_slope(r.meta["argmax"])[0]) < 1e-18
+        assert r.err < 1e-29
+        assert r.meta["evals"] <= 12
+
+
+def test_maximize_peak_at_the_left_end(ctx40):
+    # cos peaks exactly at lo = 0, where its slope is 0: Newton from 0.6
+    # steps past 0, and the iterate moves to the end itself
+    r = maximize_scalar(mp.cos, lambda t: (-mp.sin(t), -mp.cos(t)), "0.6", 0, 1, ctx40)
+    assert r.meta["argmax"] == 0 and r.value == 1 and r.meta["boundary"]
+    assert r.err < 1e-29
+
+
+def test_maximize_never_below_the_start(ctx40):
+    # a slope that points at 0.2 while f peaks at 0.5: the Newton end is
+    # lower than f(start), so the start comes back
+    f = lambda t: -((t - mp.mpf("0.5")) ** 2)
+    r = maximize_scalar(f, bowl_slope("0.2"), "0.45", 0, 1, ctx40)
+    with ctx40.workprec():
+        assert r.meta["argmax"] == mp.mpf("0.45") and r.value == f(mp.mpf("0.45"))
+
+
+def test_maximize_convex_start_at_a_stationary_point(ctx40):
+    # -(t^2 - 1)^2 has slope exactly 0 at its local minimum t = 0
+    r = maximize_scalar(lambda t: -((t * t - 1) ** 2), lambda t: (-4 * t * (t * t - 1), -12 * t * t + 4),
+                        0, -2, 2, ctx40)
+    assert abs(abs(r.meta["argmax"]) - 1) < 1e-20 and abs(r.value) < 1e-30
+
+
+def residual_peaks(A, knots):
+    """Grid local maxima of |residual| on [0, 6], t = 0 included when it wins."""
+    ts = np.linspace(0.0, 6.0, 6001)
+    v = np.abs(upper.residual_np(A, knots, ts))
+    idx = list(np.where((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1)
+    return [0] * bool(v[0] >= v[1]) + idx, ts
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+@settings(max_examples=10, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(sorted(tables.upper_reference())).map(lambda k: tables.upper_reference()[k][1]),
+        st.builds(
+            lambda A, ks: upper.UpperParams(penalty=A, knots=tuple(repr(k) for k in ks)),
+            st.fractions(min_value=0, max_value=5, max_denominator=16),
+            st.lists(st.floats(min_value=0.01, max_value=2.5), min_size=1, max_size=5, unique=True).map(sorted),
+        ),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_maximize_matches_golden_section_oracle(digits, up, pick):
+    # the Newton polish of a grid peak of |residual| against golden section on
+    # the same bracket: no lower, and at the same local maximum
+    peaks, ts = residual_peaks(up.penalty, up.knots)
+    t0 = float(ts[peaks[pick % len(peaks)]])
+    lo, hi = max(0.0, t0 - 2e-3), t0 + 2e-3
+    ctx = PrecisionContext.make(digits)
+    with ctx.workprec():
+        f, slope = upper._residual_modulus(up), upper._modulus_slope(up)
+    r = maximize_scalar(f, slope, t0, lo, hi, ctx)
+    want = golden_section_oracle(f, lo, hi, ctx)
+    with ctx.workprec():
+        assert r.value >= want.value - abs(want.value) * mp.mpf(10) ** (3 - digits)
+        assert abs(r.meta["argmax"] - want.meta["argmax"]) <= mp.mpf(10) ** (-digits // 3)
+    assert r.meta["evals"] <= 12
 
 
 @settings(max_examples=20, deadline=None)

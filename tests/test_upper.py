@@ -16,6 +16,7 @@ from fel.upper import (
     _mass_constant,
     _residual_kernel,
     _residual_modulus,
+    _residual_slope,
     certify_below,
     curve_samples,
     local_maxima,
@@ -142,6 +143,26 @@ def test_residual_kernel_equals_oracle(digits, reference):
                 assert residual(up, t)._mpc_ == want._mpc_
 
 
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_residual_slope_equals_numerical_derivatives(digits, reference):
+    # (h, h', h''), h = |residual|^2, against the oracle's modulus squared and
+    # its mp.diff derivatives at twice the digits, at zero, negative and random t
+    rng = random.Random(digits)
+    ups = [up for _, up in reference.values()] + [UpperParams(penalty=0, knots=("0.1", "0.35", "0.5"))]
+    for up in ups:
+        with mp.workdps(digits):
+            kernel = _residual_slope(up)
+            ts = [mp.mpf(0), mp.mpf("-2.5")] + [mp.mpf(rng.uniform(-10, 10)) / 3 for _ in range(6)]
+            got = [[mp.make_mpf(x) for x in kernel(t._mpf_)] for t in ts]
+        with mp.workdps(2 * digits):
+            h = lambda s: abs(residual_oracle(up, s)) ** 2
+            for t, g in zip(ts, got):
+                for order, value in enumerate(g):
+                    want = mp.diff(h, t, order)
+                    assert abs(value - want) <= mp.mpf(10) ** (4 - digits) * (1 + abs(want)), (up.penalty, t, order)
+        assert got[0][1] == 0, up.penalty  # |residual| is even: h'(0) = 0 exactly
+
+
 def test_residual_hermitian_symmetry(ctx40, reference):
     _, up = reference["1/3"]
     rng = random.Random(9)
@@ -251,18 +272,21 @@ def test_sup_norm_pinned_digits(ctx40, certified):
         assert r.meta["cells"] > 0, key
 
 
-# evaluations of |residual| by the witness polish of sup_norm at 40 digits
-POLISH_EVALS = {"1/4": 174, "1/3": 174, "1/2": 175, "1": 174, "3": 174}
+# evaluations of |residual| and of its slope by the witness polish of
+# sup_norm at 40 digits: four peaks sit at t = 0, where the float witness
+# already has slope 0
+POLISH_EVALS = {"1/4": 2, "1/3": 2, "1/2": 5, "1": 2, "3": 2}
 
 
 def test_sup_norm_polish_evaluations(ctx40, reference, monkeypatch):
     maximize, calls = upper.maximize_scalar, []
+    counted = lambda g: lambda t: calls.append(t) or g(t)
     monkeypatch.setattr(upper, "maximize_scalar",
-                        lambda f, *a: maximize(lambda t: calls.append(t) or f(t), *a))
+                        lambda f, slope, *a: maximize(counted(f), counted(slope), *a))
     for key, (_, up) in reference.items():
         calls.clear()
-        sup_norm(up, ctx40)
-        assert len(calls) == POLISH_EVALS[key], key
+        r = sup_norm(up, ctx40)
+        assert len(calls) == r.meta["polish_evals"] == POLISH_EVALS[key] <= 12, key
 
 
 def test_residual_equals_segment_sum(ctx40, reference):
