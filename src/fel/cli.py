@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -342,7 +343,10 @@ def _write_records(records, fh):
         yield rec
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built at the first :func:`main` call and
+    then reused: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="fel",
         description="Certified bounds for a family of Fourier-extremal constants.",

@@ -16,7 +16,12 @@ exact bound on the curvature |residual''| (second moments of the weight), a
 closed-form decreasing tail majorant, and a branch-and-bound grid over
 [0, t_max] (the modulus is even in t because the weight is real-valued); the
 witness maximum is then polished at full working precision by safeguarded
-Newton on the residual's closed-form first and second derivatives.
+Newton on the residual's closed-form first and second derivatives.  One
+working-precision kernel, the Abel form of :func:`fast_sup` on raw libmp
+values, gives the polished value and both derivatives; one table of the
+pieces holds each ``e^{pi T_n}`` once, for that kernel, the curvature bound,
+the mass constant of the tail and the float-range check.  :func:`residual`
+is the formula above on mpmath objects, the reference of the tests.
 
 The float form of the residual, :func:`residual_np`, is the numpy kernel
 behind the branch-and-bound grid, the local-maxima scan and the plots.  The
@@ -38,12 +43,12 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import fone, ftwo, fzero, mpc_abs, mpc_div, mpc_exp, mpc_log, mpc_mpf_div
-from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub, mpf_add, mpf_cos_sin, mpf_div, mpf_mul
-from mpmath.libmp import mpf_mul_int, mpf_neg, mpf_sub, round_nearest as _RND
+from mpmath.libmp import fone, fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
+from mpmath.libmp import round_nearest as _RND
 
 from .precision import (
     INF,
@@ -53,7 +58,6 @@ from .precision import (
     as_decimal,
     as_penalty,
     maximize_scalar,
-    poly_exp_integral,
 )
 
 __all__ = [
@@ -113,67 +117,66 @@ class UpperParams:
 
 
 def residual(up: UpperParams, t):
-    """The residual transform at real ``t`` (complex value), by :func:`_residual_kernel`."""
-    return mp.make_mpc(_residual_kernel(up)(mp.mpf(t)._mpf_))
+    """The residual transform at real ``t`` (complex value), on mpmath objects.
 
-
-def _residual_kernel(up: UpperParams):
-    """The map t -> residual(t) on raw libmp values (``mpf`` tuple in, ``mpc`` tuple out).
-
-    The kernel uses the working precision current when it is built (build
-    it inside ``ctx.workprec()``), round-nearest.  Its body is the chain of
-    libmp calls that mpmath's operators make for the formula of the module
-    docstring on ``mpf`` and ``mpc`` objects, so each value is theirs bit
-    for bit.  The knots, the ``2 c_n``, ``2 pi i`` and ``log e`` are computed
-    once, here.  Each ``e^w``, ``w = (pi - 2 pi i t) T_n``, is computed once
-    per ``t``, as in :func:`residual_np`, and is what ``mpc_pow`` makes of
-    ``mp.e ** w``: ``exp(w log e)`` at ten guard bits, or ``mpc_pow`` itself
-    when ``w`` is real (at t = 0).
+    The formula of the module docstring at the working precision, each
+    ``e^{(pi - 2 pi i t) T_n}`` computed once.  No certificate calls it: it
+    is the reference that the tests hold the working-precision kernel
+    :func:`_residual_slope` and the float kernels to.
     """
-    prec = mp.mp.prec
-    pi = mp.pi._mpf_
-    e = (mp.e._mpf_, fzero)
-    log_e = mpc_log(e, prec + 10)
-    two_i = (fzero, ftwo)
-    two_pi_i = mpc_mul_mpf(two_i, pi, prec, _RND)
-    terms = [(T._mpf_, None if cn == 0 else mpf_mul_int(cn._mpf_, 2, prec, _RND))
-             for T, cn in zip(up.mp_knots(), up.coefficients())]
-    e_zero = mpc_pow(e, (fzero, fzero), prec, _RND)  # e^{z T_0}: z * 0 = 0 for finite z
-
-    def kernel(t):
-        z = mpc_sub((pi, fzero), mpc_mul_mpf(two_pi_i, t, prec, _RND), prec, _RND)
-        d = mpc_sub((fone, fzero), mpc_mul_mpf(two_i, t, prec, _RND), prec, _RND)
-        val = mpc_mpf_div(ftwo, d, prec, _RND)
-        e0 = e_zero
-        for T, two_c in terms:
-            w = mpc_mul_mpf(z, T, prec, _RND)
-            if w[1] == fzero:
-                e1 = mpc_pow(e, w, prec, _RND)
-            else:
-                e1 = mpc_exp(mpc_mul(log_e, w, prec + 10), prec, _RND)
-            if two_c is not None:
-                q = mpc_mul_mpf(mpc_sub(e1, e0, prec, _RND), two_c, prec, _RND)
-                val = mpc_sub(val, mpc_div(q, d, prec, _RND), prec, _RND)
-            e0 = e1
-        return val
-
-    return kernel
+    t = mp.mpf(t)
+    z = mp.pi - 2j * mp.pi * t
+    d = 1 - 2j * t
+    val = 2 / d
+    ks = [mp.mpf(0)] + up.mp_knots()
+    e0 = mp.e ** (z * ks[0])
+    for n, cn in enumerate(up.coefficients()):
+        e1 = mp.e ** (z * ks[n + 1])
+        if cn != 0:
+            val -= 2 * cn * (e1 - e0) / d
+        e0 = e1
+    return val
 
 
-def _residual_modulus(up: UpperParams):
-    """t -> |residual(t)| on ``mpf`` objects, by one :func:`_residual_kernel`.
+class _PieceTable(NamedTuple):
+    """The pieces of a parameter set at the working precision of the call.
 
-    Built, like the kernel, at the working precision of the call.
+    ``levels`` are the weights ``c_n`` of :meth:`UpperParams.coefficients`,
+    ``knots`` are ``T_0 = 0 < T_1 < ... < T_N`` and ``exps`` holds each
+    ``e^{pi T_n}``, computed once.  Built by :func:`_piece_table`.
     """
-    kernel, prec = _residual_kernel(up), mp.mp.prec
-    return lambda t: mp.make_mpf(mpc_abs(kernel(t._mpf_), prec, _RND))
+
+    levels: list
+    knots: list
+    exps: list
 
 
-def _residual_slope(up: UpperParams):
+def _piece_table(up: UpperParams):
+    """(table, :func:`_curvature_bound`, :func:`_mass_constant`) of ``up``,
+    once the float grid is known to stay in range.
+
+    The grid holds each ``e^{pi T_n}``, residual terms up to the mass constant
+    ``C``, derivative terms up to ``2 pi T_N`` times the larger of the two, and
+    the curvature bound; each must stay below ``_FLOAT_CEILING``, or the knots
+    are refused with ``ValueError``.  ``e^{pi T_N}`` is compared by its
+    logarithm before any exponential is taken, so a huge knot costs no huge
+    exponential.
+    """
+    knots = [mp.mpf(0)] + up.mp_knots()
+    if mp.pi * knots[-1] < mp.log(_FLOAT_CEILING):
+        table = _PieceTable(up.coefficients(), knots, [mp.e ** (mp.pi * T) for T in knots])
+        L2, C = _curvature_bound(table), _mass_constant(table)
+        if max(max(C, table.exps[-1]) * (1 + 2 * mp.pi * knots[-1]), L2) < _FLOAT_CEILING:
+            return table, L2, C
+    raise ValueError("knots up to %s take the float grid out of range (its constants must "
+                     "stay below %s)" % (up.knots[-1], mp.nstr(_FLOAT_CEILING, 3)))
+
+
+def _residual_slope(table: _PieceTable):
     """The map t -> (h, h', h''), ``h = |residual|^2``, on raw libmp values.
 
-    Built, like :func:`_residual_kernel`, at the working precision current
-    when it is built, round-nearest.  It takes the Abel form of
+    Built at the working precision current when it is built (build it
+    inside ``ctx.workprec()``), round-nearest.  It takes the Abel form of
     :func:`fast_sup`, ``residual = N / (1 - 2it)`` with
 
         N(t) = d_0 + sum_m d_m e^{pi T_m} e^{-i k_m t},   k_m = 2 pi T_m,
@@ -183,16 +186,16 @@ def _residual_slope(up: UpperParams):
         r' = (N' + 2i r) / (1 - 2it),   r'' = (N'' + 4i r') / (1 - 2it),
         h' = 2 Re(conj(r) r'),   h'' = 2 (|r'|^2 + Re(conj(r) r'')).
 
-    The weights ``d_m e^{pi T_m}`` and the ``k_m`` are computed once,
-    here; each ``e^{-i k_m t}`` once per ``t``.
+    The weights ``d_m e^{pi T_m}`` (from the table's exponentials) and the
+    ``k_m`` are computed once, here; each ``e^{-i k_m t}`` once per ``t``.
     """
     prec = mp.mp.prec
-    cs = up.coefficients() + [mp.mpf(0)]  # c_N = 0
+    cs = table.levels + [mp.mpf(0)]  # c_N = 0
     d0 = (2 + 2 * cs[0])._mpf_
     terms = []
-    for m, T in enumerate(up.mp_knots(), 1):
+    for m, (T, E) in enumerate(zip(table.knots[1:], table.exps[1:]), 1):
         k = 2 * mp.pi * T
-        terms.append(((2 * (cs[m] - cs[m - 1]) * mp.e ** (mp.pi * T))._mpf_, k._mpf_, (k * k)._mpf_))
+        terms.append(((2 * (cs[m] - cs[m - 1]) * E)._mpf_, k._mpf_, (k * k)._mpf_))
     add, sub, mul = (functools.partial(op, prec=prec, rnd=_RND) for op in (mpf_add, mpf_sub, mpf_mul))
     twice = functools.partial(mpf_mul_int, n=2, prec=prec, rnd=_RND)
 
@@ -223,14 +226,18 @@ def _residual_slope(up: UpperParams):
     return kernel
 
 
-def _modulus_slope(up: UpperParams):
-    """t -> (f', f'') for ``f = |residual|``, on ``mpf`` objects, by :func:`_residual_slope`.
+def _modulus_and_slope(table: _PieceTable):
+    """(f, slope) for ``f = |residual|``, on ``mpf`` objects, by one :func:`_residual_slope`.
 
-    With ``f = sqrt(h)``: ``f' = h' / (2f)`` and ``f'' = (h'' - 2 f'^2) / (2f)``.
-    A zero of the residual is a minimum of ``f``, reported as ``(0, 1)``.
-    Built at the working precision of the call.
+    ``f = sqrt(h)``, and ``slope(t) = (f', f'')`` with ``f' = h' / (2f)`` and
+    ``f'' = (h'' - 2 f'^2) / (2f)``: the two closures that
+    :func:`maximize_scalar` takes.  A zero of the residual is a minimum of
+    ``f``, reported as ``(0, 1)``.  Built at the working precision of the call.
     """
-    kernel = _residual_slope(up)
+    kernel = _residual_slope(table)
+
+    def modulus(t):
+        return mp.sqrt(mp.make_mpf(kernel(t._mpf_)[0]))
 
     def slope(t):
         h, h1, h2 = (mp.make_mpf(x) for x in kernel(t._mpf_))
@@ -240,7 +247,7 @@ def _modulus_slope(up: UpperParams):
         d1 = h1 / two_f
         return d1, (h2 - 2 * d1 * d1) / two_f
 
-    return slope
+    return modulus, slope
 
 
 def _alternation(A, n: int) -> np.ndarray:
@@ -380,45 +387,28 @@ def _stage(d0, weights, freq, lo, delta, cols: int):
     return t, out
 
 
-def _mass_constant(up: UpperParams):
+def _mass_constant(table: _PieceTable):
     """C with |residual(t)| <= C / |1 - 2it| for all real t."""
     acc = mp.mpf(2)
-    ks = [mp.mpf(0)] + up.mp_knots()
-    for n, cn in enumerate(up.coefficients()):
+    for n, cn in enumerate(table.levels):
         if cn != 0:
-            acc += 2 * abs(cn) * (mp.e ** (mp.pi * ks[n + 1]) + mp.e ** (mp.pi * ks[n]))
+            acc += 2 * abs(cn) * (table.exps[n + 1] + table.exps[n])
     return acc
 
 
-def _curvature_bound(up: UpperParams):
-    """Global bound on |d^2/dt^2 residual| via second moments, closed form."""
-    with mp.workdps(max(mp.mp.dps, 30)):
-        total = 2 / mp.pi**3  # second moment of the one-sided exponential
-        ks = [mp.mpf(0)] + up.mp_knots()
-        for n, cn in enumerate(up.coefficients()):
-            if cn != 0:
-                total += abs(cn) * poly_exp_integral(2, mp.pi, ks[n], ks[n + 1])
-        return 8 * mp.pi**3 * total
+def _curvature_bound(table: _PieceTable):
+    """Global bound on |d^2/dt^2 residual| via second moments, closed form.
 
-
-def _grid_curvature_bound(up: UpperParams):
-    """(:func:`_curvature_bound`, :func:`_mass_constant`), once the float grid
-    is known to stay in range.
-
-    The grid holds each ``e^{pi T_n}``, residual terms up to the mass constant
-    ``C``, derivative terms up to ``2 pi T_N`` times the larger of the two, and
-    the curvature bound; each must stay below ``_FLOAT_CEILING``, or the knots
-    are refused with ``ValueError``.  ``e^{pi T_N}`` is compared by its
-    logarithm first, so a huge knot costs no huge exponential.
+    Piece ``n`` adds ``|c_n|`` times the integral of ``u^2 e^{pi u}`` over
+    it, the difference of ``e^{pi u} (u^2/pi - 2u/pi^2 + 2/pi^3)`` at its ends.
     """
-    last = up.mp_knots()[-1] if up.knots else mp.mpf(0)
-    if mp.pi * last < mp.log(_FLOAT_CEILING):
-        L2 = _curvature_bound(up)
-        C = _mass_constant(up)
-        if max(max(C, mp.e ** (mp.pi * last)) * (1 + 2 * mp.pi * last), L2) < _FLOAT_CEILING:
-            return L2, C
-    raise ValueError("knots up to %s take the float grid out of range (its constants must "
-                     "stay below %s)" % (up.knots[-1], mp.nstr(_FLOAT_CEILING, 3)))
+    pi = +mp.pi
+    moments = [E * (u * u / pi - 2 * u / pi**2 + 2 / pi**3) for u, E in zip(table.knots, table.exps)]
+    total = 2 / pi**3  # second moment of the one-sided exponential
+    for n, cn in enumerate(table.levels):
+        if cn != 0:
+            total += abs(cn) * (moments[n + 1] - moments[n])
+    return 8 * pi**3 * total
 
 
 def _tail_cut(C, threshold):
@@ -488,9 +478,9 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
     branch-and-bound grid with second-order cell certificates (from the
     closed-form curvature bound) certifies the window to a slack of 1e-8, and
     the witness is polished at full working precision: safeguarded Newton
-    (:func:`maximize_scalar`) from the float witness, on the slope of
-    :func:`_modulus_slope`, within one finest cell of it.  ``value`` is
-    :func:`_residual_modulus` at the polished point.  The grid starts at
+    (:func:`maximize_scalar`) from the float witness, within one finest cell
+    of it, on the modulus and slope of :func:`_modulus_and_slope`.  ``value``
+    is that modulus at the polished point.  The grid starts at
     1e-2 cells and splits only the cells whose certificate exceeds the
     witness plus the slack, so the starting width sets the work, not the
     certificate.  The certificate is ``sup <= value + err``; by weak
@@ -501,12 +491,11 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
     of the modulus and its slope (``polish_evals``).
     """
     with ctx.workprec():
-        L2, C = _grid_curvature_bound(up)
-        abs_residual = _residual_modulus(up)
+        table, L2, C = _piece_table(up)
+        abs_residual, slope = _modulus_and_slope(table)
         g0 = abs_residual(mp.mpf(0))
         t_max = _tail_cut(C, g0 * (1 - mp.mpf("1e-6")))
-        last_knot = up.mp_knots()[-1] if up.knots else mp.mpf(0)
-        t_max = max(t_max, last_knot + 1)
+        t_max = max(t_max, table.knots[-1] + 1)
         wt, wv, cert_sup, finest, cells = _branch_and_bound(
             up, 0.0, float(t_max), float(L2), _DEFAULT_SLACK
         )
@@ -514,7 +503,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
         half = max(finest, 1e-7)
         lo = max(0.0, wt - half)
         hi = min(float(t_max), wt + half)
-        polish = maximize_scalar(abs_residual, _modulus_slope(up), wt, lo, hi, ctx)
+        polish = maximize_scalar(abs_residual, slope, wt, lo, hi, ctx)
         value = polish.value
         float_margin = mp.mpf("1e-13") * C
         # a float witness above the polished value by more than the float
@@ -545,7 +534,7 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
     majorant drops under the threshold.
     """
     with ctx.workprec():
-        L2, C = _grid_curvature_bound(up)
+        _, L2, C = _piece_table(up)
         t_hi = _tail_cut(C, mp.mpf(threshold) * (1 - mp.mpf("1e-9")))
         meta = {"t_window": (float(t_lo), float(t_hi)), "curvature": float(L2)}
         if t_hi <= t_lo:
@@ -576,7 +565,7 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
     the float grid out of range raise ``ValueError``.
     """
     with ctx.workprec():
-        _grid_curvature_bound(up)  # the range check alone
+        abs_residual, slope = _modulus_and_slope(_piece_table(up)[0])
         ts = np.linspace(t_lo, t_hi, samples + 1)
         v = np.abs(residual_np(up.penalty, up.knots, ts))
         step = (t_hi - t_lo) / samples
@@ -592,7 +581,6 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
             prev = float(ts[i])
         if v[-1] >= v[-2] and (not cand or ts[-1] - ts[cand[-1]] > 4 * step):
             cand.append(samples)
-        abs_residual, slope = _residual_modulus(up), _modulus_slope(up)
         out = []
         for i in cand:
             lo = max(t_lo, float(ts[i]) - 2 * step)
@@ -619,7 +607,7 @@ def curve_samples(up: UpperParams, t_lo: float, t_hi: float, samples: int):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    _grid_curvature_bound(up)  # the range check alone
+    _piece_table(up)  # the range check alone
     ts = np.linspace(t_lo, t_hi, samples)
     g = residual_np(up.penalty, up.knots, ts)
     return [(float(t), float(z.real), float(abs(z))) for t, z in zip(ts, g)]

@@ -401,7 +401,7 @@ def test_maximize_matches_golden_section_oracle(digits, up, pick):
     lo, hi = max(0.0, t0 - 2e-3), t0 + 2e-3
     ctx = PrecisionContext.make(digits)
     with ctx.workprec():
-        f, slope = upper._residual_modulus(up), upper._modulus_slope(up)
+        f, slope = upper._modulus_and_slope(upper._piece_table(up)[0])
     r = maximize_scalar(f, slope, t0, lo, hi, ctx)
     want = golden_section_oracle(f, lo, hi, ctx)
     with ctx.workprec():

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fel import cli, tables, upper
-from fel.precision import PrecisionContext, integrate_finite
+from fel.precision import PrecisionContext, integrate_finite, poly_exp_integral
 from fel.upper import (
     UpperParams,
     _curvature_bound,
-    _mass_constant,
-    _residual_kernel,
-    _residual_modulus,
+    _piece_table,
     _residual_slope,
     certify_below,
     curve_samples,
@@ -40,26 +38,9 @@ def segment_transform(coef, lo, hi, t):
     return 2 * coef * (mp.e ** (z * hi) - mp.e ** (z * lo)) / (1 - 2j * t)
 
 
-def residual_oracle(up, t):
-    """The residual transform on mpmath objects: the oracle that the libmp
-    kernel ``upper._residual_kernel`` equals bit for bit."""
-    t = mp.mpf(t)
-    z = mp.pi - 2j * mp.pi * t
-    d = 1 - 2j * t
-    val = 2 / d
-    ks = [mp.mpf(0)] + up.mp_knots()
-    e0 = mp.e ** (z * ks[0])
-    for n, cn in enumerate(up.coefficients()):
-        e1 = mp.e ** (z * ks[n + 1])
-        if cn != 0:
-            val -= 2 * cn * (e1 - e0) / d
-        e0 = e1
-    return val
-
-
 def tail_majorant(up, t):
     """The decreasing bound on |residual(t')| for t' >= t that ``_tail_cut`` inverts."""
-    return _mass_constant(up) / mp.sqrt(1 + 4 * mp.mpf(t) ** 2)
+    return _piece_table(up)[2] / mp.sqrt(1 + 4 * mp.mpf(t) ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -127,35 +108,44 @@ def test_residual_reference_at_zero(ctx40, reference):
 
 
 @pytest.mark.parametrize("digits", [30, 40, 100])
-def test_residual_kernel_equals_oracle(digits, reference):
-    # mpc tuples of the residual and mpf tuples of its modulus, at random,
-    # negative and zero t; penalty 0 skips every other term
+def test_curvature_bound(digits, reference):
+    # L2 bounds |residual''| (mp.diff of the reference at twice the digits) at
+    # zero, negative and random t, and equals the antiderivative form of
+    # poly_exp_integral to 10^(5 - digits) relative, also at the edge of the
+    # float range, where L2 is about 1.7e305
     rng = random.Random(digits)
     ups = [up for _, up in reference.values()] + [UpperParams(penalty=0, knots=("0.1", "0.35", "0.5"))]
-    with mp.workdps(digits):
-        ts = [mp.mpf(0), mp.mpf("-2.5")] + [mp.mpf(rng.uniform(-10, 10)) / 3 for _ in range(20)]
-        for up in ups:
-            kernel, modulus = _residual_kernel(up), _residual_modulus(up)
+    edge = UpperParams(penalty=1, knots=("0.2", "218.904"))
+    for up in ups + [edge]:
+        with mp.workdps(digits):
+            table, L2, _ = _piece_table(up)
+            assert _curvature_bound(table) == L2
+            ks, total = table.knots, 2 / mp.pi**3
+            for n, cn in enumerate(table.levels):
+                if cn != 0:
+                    total += abs(cn) * poly_exp_integral(2, mp.pi, ks[n], ks[n + 1])
+            assert abs(L2 - 8 * mp.pi**3 * total) <= mp.mpf(10) ** (5 - digits) * L2, up.knots
+            ts = [mp.mpf(0), mp.mpf("-2.5")] + [mp.mpf(rng.uniform(-10, 10)) / 3 for _ in range(6)]
+        if up is edge:
+            continue
+        with mp.workdps(2 * digits):
             for t in ts:
-                want = residual_oracle(up, t)
-                assert kernel(t._mpf_) == want._mpc_, (up.penalty, t)
-                assert modulus(t)._mpf_ == abs(want)._mpf_, (up.penalty, t)
-                assert residual(up, t)._mpc_ == want._mpc_
+                assert abs(mp.diff(lambda s: residual(up, s), t, 2)) <= L2, (up.penalty, t)
 
 
 @pytest.mark.parametrize("digits", [30, 40, 100])
 def test_residual_slope_equals_numerical_derivatives(digits, reference):
-    # (h, h', h''), h = |residual|^2, against the oracle's modulus squared and
+    # (h, h', h''), h = |residual|^2, against the reference's modulus squared and
     # its mp.diff derivatives at twice the digits, at zero, negative and random t
     rng = random.Random(digits)
     ups = [up for _, up in reference.values()] + [UpperParams(penalty=0, knots=("0.1", "0.35", "0.5"))]
     for up in ups:
         with mp.workdps(digits):
-            kernel = _residual_slope(up)
+            kernel = _residual_slope(_piece_table(up)[0])
             ts = [mp.mpf(0), mp.mpf("-2.5")] + [mp.mpf(rng.uniform(-10, 10)) / 3 for _ in range(6)]
             got = [[mp.make_mpf(x) for x in kernel(t._mpf_)] for t in ts]
         with mp.workdps(2 * digits):
-            h = lambda s: abs(residual_oracle(up, s)) ** 2
+            h = lambda s: abs(residual(up, s)) ** 2
             for t, g in zip(ts, got):
                 for order, value in enumerate(g):
                     want = mp.diff(h, t, order)
@@ -252,21 +242,27 @@ def test_sup_norm_reference_values(ctx40, reference, certified):
 
 # sup_norm at 40 digits: the value and err that ``fel upper-eval --A k
 # --digits 40`` prints (``cli._upper_keys``, which formats the value at its
-# own precision), then the value to 25 digits at working precision
+# own precision), then the value to 25 digits at working precision, then the
+# printed certified_upper_bound
 PINNED_UPPER = {
-    "1/4": ("1.335087886196560875153017", "1.0010324e-8", "1.335087886196560875153017"),
-    "1/3": ("1.287803323080232987541055", "1.0007114e-8", "1.287803323080232987541055"),
-    "1/2": ("1.230797838680213591977022", "1.0007423e-8", "1.230797838680213591977022"),
-    "1": ("1.147307735672914145306888", "1.001171e-8", "1.147307735672914145306888"),
-    "3": ("1.062392981791822085227474", "1.0017046e-8", "1.062392981791822085227474"),
+    "1/4": ("1.335087886196560875153017", "1.0010324e-8", "1.335087886196560875153017",
+            "1.335087896206885315740730"),
+    "1/3": ("1.287803323080232987541055", "1.0007114e-8", "1.287803323080232987541055",
+            "1.287803333087346620718686"),
+    "1/2": ("1.230797838680213591977022", "1.0007423e-8", "1.230797838680213591977022",
+            "1.230797848687636803194949"),
+    "1": ("1.147307735672914145306888", "1.001171e-8", "1.147307735672914145306888",
+          "1.147307745684623923712150"),
+    "3": ("1.062392981791822085227474", "1.0017046e-8", "1.062392981791822085227474",
+          "1.062392991808867948819124"),
 }
 
 
 def test_sup_norm_pinned_digits(ctx40, certified):
-    for key, (printed, err, value) in PINNED_UPPER.items():
+    for key, (printed, err, value, upper_bound) in PINNED_UPPER.items():
         r = certified[key]
         j = cli._upper_keys(r)
-        assert (j["value"], j["err"]) == (printed, err), key
+        assert (j["value"], j["err"], j["certified_upper_bound"]) == (printed, err, upper_bound), key
         with ctx40.workprec():
             assert mp.nstr(r.value, 25) == value, key
         assert r.meta["cells"] > 0, key
@@ -320,7 +316,7 @@ def test_sup_norm_sound_random_knots(A, knots):
     t_peak = ts[int(np.argmax(np.abs(residual_np(up.penalty, up.knots, ts))))]
     with ctx.workprec():
         peak = abs(residual(up, t_peak))
-        miss = _curvature_bound(up) * (ts[1] - ts[0]) ** 2 / 8
+        miss = _piece_table(up)[1] * (ts[1] - ts[0]) ** 2 / 8
         assert peak <= r.value + r.err
         assert r.value <= peak + r.err + miss
 
