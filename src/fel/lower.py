@@ -20,11 +20,13 @@ positive axis, normalized by the L^1 norm:
     reward = 2*pi/||f||_1 * ( I(-inf,0) - I_minus(0,inf) - penalty * I_plus(0,inf) )
 
 with every piece integrated exactly: in the variable ``u = (pi*t - c)/a`` each
-integrand is an odd polynomial times e^((1+a)u), handled by the closed-form
-antiderivatives of :mod:`fel.precision`.  The L^1 norm is the one quadrature:
-a single integral over a quarter of the circle, written in ``tau`` in [0, 1]
-with a rational integrand, evaluated on a fixed-point integer kernel whose
-rounding bound is part of the radius (:func:`l1_norm`).  ``value - err`` of
+integrand is an odd polynomial times e^((1+a)u), whose antiderivative
+e^((1+a)u) R(u) has its polynomial R computed in exact rationals once per
+parameter set (:func:`_masses`).  The L^1 norm is the one quadrature: a single
+integral over a quarter of the circle, written in ``tau`` in [0, 1] with a
+rational integrand, evaluated on integers, an exact fixed-point kernel under
+fixed-point panels, whose rounding bound is part of the radius
+(:func:`l1_norm`).  ``value - err`` of
 the result is a certified lower bound for the extremal constant at that
 penalty, because the constant is defined as a supremum over a class
 containing this family.
@@ -38,7 +40,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_rational, round_nearest
 
 from .precision import (
     INF,
@@ -46,10 +48,9 @@ from .precision import (
     PrecisionContext,
     as_decimal,
     as_penalty,
-    integrate_finite,
+    integrate_fixed,
     isolate_sign_changes,
     odd_poly_eval,
-    poly_exp_integral,
 )
 
 __all__ = [
@@ -161,28 +162,28 @@ def _circle_kernel(bs, shift, P):
     and one division by 1 + s.  Every product and quotient is floored to
     u = 2^-P, and each b_n 2^shift rounded to nearest.
 
-    Returns ``(kernel, K)``: ``kernel`` maps an ``mpf`` tau in [0, 1] to an
-    ``mpf`` within K u of the exact integrand at tau, where, with N terms
-    and beta = sum |b_n| 2^shift,
+    Returns ``(kernel, K)``: ``kernel`` maps an int t in [0, 2^P] to an
+    int within K of 2^P times the exact integrand at tau = t u, where,
+    with N terms and beta = sum |b_n| 2^shift,
 
-        K = 24 N beta + 3N + 2.
+        K = 20 N beta + 3N + 2.
 
-    Flooring tau to u moves the integrand by at most 4 N beta u (|dw/dtau|
-    <= 4, |Q'| <= N beta, |d(1 + tau^2)^-1/dtau| < 1); cos(phi) and
-    sin(phi) come within u, v within 3u per part, w within 13u per part
-    (so |w| <= 1 + 2u); each Horner step adds at most
-    19 beta u + sqrt(2) u + u/2, compounded by at most 1.01 over N steps,
-    N (20 beta + 3) u in all; the square root and the last division add
-    one u each.
+    tau is exact, so s and 1 + s are; cos(phi) and sin(phi) come within
+    u, v within 3u per part, w within 13u per part (so |w| <= 1 + 2u);
+    each Horner step adds at most 19 beta u + sqrt(2) u + u/2, compounded
+    by at most 1.01 over N steps, N (20 beta + 3) u in all; the square
+    root and the last division add one u each.  On [0, 1] the integrand
+    is at most beta and its slope at most 4 N beta (|dw/dtau| <= 4,
+    |Q'| <= N beta, |d(1 + tau^2)^-1/dtau| < 1), the M and L of
+    :func:`fel.precision.integrate_fixed`.
     """
     B = [round(bn * 2 ** (shift + P)) for bn in bs]
     beta = sum(map(abs, bs)) * 2**shift
-    K = math.ceil(24 * len(B) * beta) + 3 * len(B) + 2
+    K = math.ceil(20 * len(B) * beta) + 3 * len(B) + 2
     top, rest = B[-1], B[-2::-1]
     one2 = 1 << 2 * P
 
-    def kernel(tau):
-        t = to_fixed(tau._mpf_, P)
+    def kernel(t):
         s = t * t  # s 2^(2P)
         d = one2 + s
         c = ((one2 - s) << P) // d
@@ -192,7 +193,7 @@ def _circle_kernel(bs, shift, P):
         re, im = top, 0
         for bn in rest:
             re, im = (re * wr - im * wi >> P) + bn, re * wi + im * wr >> P
-        return mp.make_mpf(from_man_exp((math.isqrt(re * re + im * im) << 2 * P) // d, -P))
+        return (math.isqrt(re * re + im * im) << 2 * P) // d
 
     return kernel, K
 
@@ -208,14 +209,16 @@ def l1_norm(p: LowerParams, ctx: PrecisionContext) -> ErrBounded:
         ||f||_1 = (2/pi) int_0^1 |Q_b(w)| / (1 + tau^2) dtau,
         w = (1 - tau^2)^2 (1 - i tau)^4 / (1 + tau^2)^4.
 
-    A finite interval and no tail, for every a and c.  The integrand is
-    :func:`_circle_kernel` at ``prec + 32`` bits under
-    :func:`fel.precision.integrate_finite`; ``err`` is the quadrature's
-    radius plus the kernel's rounding bound K 2^-P, times 2/pi.  The target
-    is absolute, so b is first scaled exactly by the power of two that
-    brings its largest coefficient into (1/2, 2) when it is below that, and
-    a norm under 1/sqrt(2) is redone with b scaled by the power of two that
-    brings it nearest 1 (b = 1e-200 gets the radius of b = 1).
+    A finite interval and no tail, for every a and c.  The integral runs
+    on integers: :func:`_circle_kernel` at P = ``prec + 32`` bits under
+    :func:`fel.precision.integrate_fixed`; ``err`` is the quadrature's
+    radius plus the fixed-point rounding bound R 2^-P, times 2/pi, where
+    R = K + (5N + 6) beta + 1 + 2 panels adds the panels' node, weight and
+    floor roundings to the kernel's K.  The target is absolute, so b is
+    first scaled exactly by the power of two that brings its largest
+    coefficient into (1/2, 2) when it is below that, and a norm under
+    1/sqrt(2) is redone with b scaled by the power of two that brings it
+    nearest 1 (b = 1e-200 gets the radius of b = 1).
     """
     bs = [Fraction(bn) for bn in p.b]
     top = max(abs(bn) for bn in bs)
@@ -232,36 +235,96 @@ def _l1_circle(bs, shift, ctx: PrecisionContext) -> ErrBounded:
     """:func:`l1_norm` of ``bs`` scaled by 2^shift, scaled back."""
     P = mp.mp.prec + _GUARD_BITS
     kernel, K = _circle_kernel(bs, shift, P)
-    quad = integrate_finite(kernel, 0, 1, ctx)
+    quad = integrate_fixed(kernel, P, ctx)
+    beta = sum(map(abs, bs)) * 2**shift
+    R = K + math.ceil((5 * len(bs) + 6) * beta) + 1 + 2 * quad.meta["panels"]
     return ErrBounded(mp.ldexp(2 * quad.value / mp.pi, -shift),
-                      mp.ldexp(2 * (quad.err + mp.ldexp(K, -P)) / mp.pi, -shift))
+                      mp.ldexp(2 * (quad.err + mp.ldexp(R, -P)) / mp.pi, -shift))
 
 
-def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, coeffs, ctx: PrecisionContext):
-    """The u-intervals of (lo, 0) between the profile's sign changes.
+def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, ctx: PrecisionContext):
+    """The profile's sign partition of the u-interval (lo, 0).
 
-    ``lo`` is the exact left end and ``u_lo`` its value at working precision
-    (call inside ``ctx.workprec()``); ``coeffs`` are :func:`_odd_coeffs` at
-    that precision.  The sign changes are isolated exactly; each interval
-    comes as ``(u1, u2, sign)`` with the sign (+1, -1 or 0) of the
-    polynomial at its midpoint.
+    ``lo`` is the exact left end and ``u_lo`` its value at working
+    precision (call inside ``ctx.workprec()``).  Returns ``(edges, signs)``:
+    the edges ``[u_lo, r_1, ..., r_m, 0]`` with the sign changes r_i
+    isolated exactly, and the sign (+1 or -1) of the profile between each
+    two.  The signs follow from the roots: just left of 0 the odd
+    polynomial has the sign opposite to its lowest nonzero coefficient,
+    and it flips at each returned root, since every returned root has odd
+    multiplicity.
     """
-    roots = isolate_sign_changes(_exact_odd_coeffs(p), lo, 0, ctx)
-    edges = [u_lo, *roots, mp.mpf(0)]
-    out = []
-    for u1, u2 in zip(edges[:-1], edges[1:]):
-        v = odd_poly_eval(coeffs, (u1 + u2) / 2)
-        out.append((u1, u2, (v > 0) - (v < 0)))
-    return out
+    coeffs = _exact_odd_coeffs(p)
+    roots = isolate_sign_changes(coeffs, lo, 0, ctx)
+    last = -1 if next(ck for ck in coeffs if ck) > 0 else 1
+    signs = [last * (-1) ** (len(roots) - i) for i in range(len(roots) + 1)]
+    return [u_lo, *roots, mp.mpf(0)], signs
+
+
+def _mass_poly(p: LowerParams):
+    """R with (e^(lam u) R(u))' = G(u) e^(lam u) exactly, lam = 1 + a.
+
+    G(u) = sum_k c_k u^(2k+1) is the profile's odd polynomial
+    (:func:`_exact_odd_coeffs`); R_i = (g_i - (i + 1) R_(i+1)) / lam in
+    Fractions, from the top degree down.  Returned constant first.
+    """
+    lam = 1 + Fraction(p.a)
+    coeffs = _exact_odd_coeffs(p)
+    R = [Fraction(0)] * (2 * len(coeffs))
+    nxt = Fraction(0)
+    for i in reversed(range(len(R))):
+        g = coeffs[i // 2] if i % 2 else 0
+        R[i] = nxt = (g - (i + 1) * nxt) / lam
+    return R
+
+
+def _masses(p: LowerParams, ctx: PrecisionContext):
+    """The reward's three profile masses, exact up to rounding.
+
+    ``(head, pos_mass, neg_mass)``: the integral of the profile times
+    e^(pi t) over t < 0, and its positive and negative parts over t > 0.
+    In u = (pi t - c)/a each is ``pref (F(x2) - F(x1))`` over sign
+    intervals, pref = (a/pi) e^c, with the antiderivative
+    F(u) = e^(lam u) R(u) of :func:`_mass_poly` (F(-inf) = 0), its
+    coefficients rounded once; each edge of the sign partition costs one
+    exponential and one Horner.  Call inside ``ctx.workprec()``.
+    """
+    R = [mp.make_mpf(from_rational(r.numerator, r.denominator, mp.mp.prec, round_nearest))
+         for r in reversed(_mass_poly(p))]
+    a, c, _ = p.mp_values()
+    lam = 1 + a
+    pref = (a / mp.pi) * mp.exp(c)
+
+    def F(u):
+        acc = mp.mpf(0)
+        for r in R:
+            acc = acc * u + r
+        return mp.exp(lam * u) * acc
+
+    if not c > 0:
+        return pref * F(0), mp.mpf(0), mp.mpf(0)
+    # the positive axis is u in (-c/a, 0)
+    edges, signs = _sign_intervals(p, -Fraction(p.c) / Fraction(p.a), -c / a, ctx)
+    Fs = [F(x) for x in edges]
+    pos_mass = neg_mass = mp.mpf(0)
+    for x1, x2, F1, F2, sign in zip(edges, edges[1:], Fs, Fs[1:], signs):
+        if x2 > x1:
+            if sign > 0:
+                pos_mass += pref * (F2 - F1)
+            else:
+                neg_mass += pref * (F1 - F2)
+    # clip tiny negative round-off in the masses
+    return pref * Fs[0], max(pos_mass, mp.mpf(0)), max(neg_mass, mp.mpf(0))
 
 
 def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
     """The normalized reward functional of the family at ``penalty``.
 
-    All three integrals are evaluated exactly per sign interval through the
-    closed-form antiderivatives; only the L^1 normalization uses quadrature.
-    The sign intervals on the positive axis come from the exact isolation
-    of :func:`fel.precision.isolate_sign_changes`, so no sign change can be
+    All three profile integrals are exact up to rounding, from one exact
+    antiderivative polynomial (:func:`_masses`); only the L^1
+    normalization uses quadrature, on integers (:func:`l1_norm`).  The
+    sign intervals on the positive axis come from the exact isolation of
+    :func:`fel.precision.isolate_sign_changes`, so no sign change can be
     missed and the radius carries only quadrature and rounding error.
     ``penalty`` may be a Fraction, a rational string like "1/3", a float, or
     ``INF`` (which requires the profile to be <= 0 on the positive axis and
@@ -272,37 +335,8 @@ def reward(p: LowerParams, penalty, ctx: PrecisionContext) -> ErrBounded:
     with ctx.workprec():
         if A is not INF:
             A = mp.mpf(A.numerator) / A.denominator
-        a, c, bs = p.mp_values()
-        lam = 1 + a
-        coeffs = _odd_coeffs(bs)
-        pref = (a / mp.pi) * mp.e**c
         round_eps = mp.mpf(10) ** (-(ctx.digits - 6))
-
-        def piece(u1, u2):
-            # integral of g(u) e^(a u) du scaled by e^c a/pi, exact
-            return pref * mp.fsum(
-                ck * poly_exp_integral(2 * k + 1, lam, u1, u2)
-                for k, ck in enumerate(coeffs)
-            )
-
-        u_zero = -c / a  # u-image of t = 0
-        head = piece(-mp.inf, min(mp.mpf(0), u_zero))
-
-        pos_mass = mp.mpf(0)
-        neg_mass = mp.mpf(0)
-        if c > 0:
-            exact_zero = -Fraction(p.c) / Fraction(p.a)
-            for x1, x2, sign in _sign_intervals(p, exact_zero, u_zero, coeffs, ctx):
-                if not x2 > x1:
-                    continue
-                val = piece(x1, x2)
-                if sign >= 0:
-                    pos_mass += val
-                else:
-                    neg_mass += -val
-        # clip tiny negative round-off in the masses
-        pos_mass = max(pos_mass, mp.mpf(0))
-        neg_mass = max(neg_mass, mp.mpf(0))
+        head, pos_mass, neg_mass = _masses(p, ctx)
 
         l1 = l1_norm(p, ctx)
         if l1.value <= 10 * (l1.err + l1.value * round_eps):

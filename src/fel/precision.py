@@ -4,9 +4,15 @@ Three primitives, all operating on mpmath scalars at a precision fixed by a
 :class:`PrecisionContext`, with explicit absolute-error radii where a
 result is not exact:
 
-* adaptive 24-point Gauss-Legendre quadrature on finite intervals, each
-  panel checked against the sum over its halves,
-* closed-form antiderivatives of ``u^m * exp(lam*u)``,
+* adaptive 24-point Gauss-Legendre quadrature, each panel checked against
+  the sum over its halves, under one bisection loop with two panel
+  kinds: ``mpf`` panels on any finite interval (:func:`integrate_finite`)
+  and exact integer panels on P-bit fixed point over [0, 1]
+  (:func:`integrate_fixed`, with a stated rounding bound),
+* closed-form antiderivatives of ``u^m * exp(lam*u)``, the tests'
+  reference: the reward's masses come from one exact antiderivative
+  polynomial in :mod:`fel.lower`, and the tests hold those masses and the
+  quadrature to these,
 * exact isolation of the sign changes of odd-power polynomials (Sturm
   sequences in rational arithmetic, no sampling) and the safeguarded
   Newton polish of a bracketed 1-D maximum;
@@ -17,11 +23,11 @@ fractions (or :data:`INF`) and knots or coefficients to exact decimals.
 Error accounting is first-order honest rather than interval arithmetic: a
 reported radius is an estimate that must survive a precision-doubling
 recomputation (the value may not move by more than the radius).  Callers
-add the rounding bounds they can state: the L^1 kernel of :mod:`fel.lower`
-adds its fixed-point bound to the quadrature radius; elsewhere rounding is
-covered by a relative ``round_eps`` of a few digits below the working
-precision.  Routines
-that cannot meet their tolerance within the refinement budget raise
+add the rounding bounds they can state: the L^1 norm of :mod:`fel.lower`
+adds its kernel's and :func:`integrate_fixed`'s fixed-point bounds to the
+quadrature radius; elsewhere rounding is covered by a relative
+``round_eps`` of a few digits below the working precision.  Routines that
+cannot meet their tolerance within the refinement budget raise
 :class:`Unconverged` instead of returning a silently degraded value.
 
 Everything here is a pure function of its arguments; contexts are immutable
@@ -38,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, ftwo, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest as _RND
+from mpmath.libmp import fzero, ftwo, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest as _RND, to_fixed
 
 __all__ = [
     "INF",
@@ -48,7 +54,9 @@ __all__ = [
     "ErrBounded",
     "Unconverged",
     "gauss_legendre",
+    "gauss_legendre_fixed",
     "integrate_finite",
+    "integrate_fixed",
     "poly_exp_antiderivative",
     "poly_exp_integral",
     "odd_poly_eval",
@@ -179,6 +187,21 @@ def gauss_legendre(order: int, dps: int):
     return tuple(pairs)
 
 
+@functools.lru_cache(maxsize=128)
+def gauss_legendre_fixed(order: int, dps: int, P: int):
+    """:func:`gauss_legendre`'s nodes and weights on P-bit fixed point.
+
+    Each is the int nearest to ``x 2^P`` (or ``w 2^P``), so within 1/2 of
+    it.  The tuple is shared by every caller: do not mutate it.
+    """
+    def nearest(x):
+        man, exp = x.man_exp
+        s = exp + P
+        return man << s if s >= 0 else (man + (1 << -s - 1)) >> -s
+
+    return tuple((nearest(x), nearest(w)) for x, w in gauss_legendre(order, dps))
+
+
 def _panel(f, lo, hi, nodes, prec):
     """24-point Gauss-Legendre value of ``f`` on [lo, hi] (``mpf`` tuples).
 
@@ -209,17 +232,97 @@ def _panel(f, lo, hi, nodes, prec):
     return mp.make_mpf(re)
 
 
+def _fixed_panel(f, lo, hi, nodes, P):
+    """24-point Gauss-Legendre value of ``f`` on [lo u, hi u], u = 2^-P.
+
+    ``lo`` and ``hi`` are ints with ``lo + hi`` even, so the middle
+    ``m = (lo + hi) / 2`` is exact; ``nodes`` are the ints of
+    :func:`gauss_legendre_fixed`, and ``f`` maps an int ``t`` to an int
+    near ``F(t u) / u``.  With h = (hi - lo) u / 2 the nodes are
+    ``m +- d_k``, d_k = floor(h X_k), the sum
+    ``S = sum_k W_k (f(m + d_k) + f(m - d_k))`` is exact, and the panel is
+    the one floor ``(hi - lo) S / 2^(2P + 1)``: an int, the rule's value
+    over u.
+
+    Rounding bound.  Let ``f(t) u`` be within E u of F(t u) at every node,
+    with |F| <= M and |F'| <= L on the panel, and h <= 1/2.  Then:
+
+    * node: X_k u is within u/2 of x_k, so d_k u is within h u/2 + u
+      <= 5u/4 of h x_k, and F there within 5 L u / 4: with the kernel,
+      f u is within D u of F at the exact node, D = E + 5L/4;
+    * weight: W_k u is within u/2 of w_k, on a sum of at most 2(M + D u),
+      and the twelve positive-half weights sum to 1, so S u^2 is within
+      12 (M + D u) u + 2 D u of the rule's sum;
+    * final floor: one u.
+
+    So the panel is within h (12 M + 2 D + 1) u + u of the rule's value
+    on [lo u, hi u] when D u <= 1/12.
+    """
+    w2 = hi - lo
+    mid = lo + hi >> 1
+    acc = 0
+    for x, w in nodes:
+        d = w2 * x >> P + 1
+        acc += w * (f(mid + d) + f(mid - d))
+    return w2 * acc >> 2 * P + 1
+
+
+def _adaptive(panel, a, b, target, ctx: PrecisionContext) -> ErrBounded:
+    """The adaptive bisection that :func:`integrate_finite` and
+    :func:`integrate_fixed` share; call inside ``ctx.workprec()``.
+
+    ``panel(lo, hi)`` is the 24-point rule on [lo, hi] for ``mpf`` ends
+    ``a <= lo < hi <= b``, in the units of ``target``.  Every panel
+    carries its rule's value; the rule on its two halves gives the panel's
+    estimate, and the distance between the two is its error estimate
+    (Gander and Gautschi, BIT 40 (2000)).  A panel is accepted when that
+    distance is within its width-proportional share of ``target``, or
+    within four roundings of the working precision (``round_eps``, two
+    digits below it) of its value: splitting cannot beat the roundoff of
+    the panel sums themselves, and the distance still lands in the radius,
+    with ``|fine| round_eps``.  Otherwise it is bisected, each half
+    keeping its value: ``meta["panels"]`` panels cost
+    ``1 + 2 * meta["panels"]`` rules.  Raises :class:`Unconverged` when
+    the bisection depth or the panel budget is exhausted.
+    """
+    total_w = b - a
+    round_eps = mp.mpf(10) ** (-ctx.digits + 2)
+    stack = [(a, b, 0, panel(a, b))]
+    value = 0
+    err = mp.mpf(0)
+    panels = 0
+    while stack:
+        lo, hi, depth, coarse = stack.pop()
+        panels += 1
+        if panels > _PANEL_BUDGET:
+            raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
+        mid = (lo + hi) / 2
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        fine = left + right
+        e = abs(fine - coarse)
+        if e <= target * (hi - lo) / total_w / 2 or e <= abs(fine) * round_eps * 4:
+            value = fine + value
+            err += e + abs(fine) * round_eps
+        elif depth >= _MAX_DEPTH:
+            raise Unconverged(
+                "quadrature did not converge at depth %d near [%s, %s]"
+                % (depth, lo, hi)
+            )
+        else:
+            stack.append((lo, mid, depth + 1, left))
+            stack.append((mid, hi, depth + 1, right))
+    return ErrBounded(value, err, meta={"panels": panels})
+
+
 def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
     """Adaptive panel quadrature of a continuous ``f`` on [a, b].
 
-    Every panel carries its 24-point Gauss-Legendre value; the rule on its
-    two halves gives the panel's estimate, and the distance between the two
-    is its error estimate (Gander and Gautschi, BIT 40 (2000)).  Panels that
-    miss their width-proportional share of ``ctx.target_abs_err`` are
-    bisected, each half keeping its value: a call costs
-    ``24 + 48 * meta["panels"]`` evaluations of ``f``.  Raises
-    :class:`Unconverged` when the bisection depth or the panel budget is
-    exhausted.
+    ``f`` maps an ``mpf`` to an ``mpf`` or ``mpc``; the panels are summed
+    on libmp values at the working precision (:func:`_panel`) under the
+    bisection of :func:`_adaptive`, to the absolute ``ctx.target_abs_err``.
+    A call costs ``24 + 48 * meta["panels"]`` evaluations of ``f``, and
+    raises :class:`Unconverged` as :func:`_adaptive` does.
     """
     with ctx.workprec():
         a, b = mp.mpf(a), mp.mpf(b)
@@ -228,40 +331,39 @@ def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
         if a > b:
             res = integrate_finite(f, b, a, ctx)
             return ErrBounded(-res.value, res.err, res.meta)
-        total_w = b - a
-        target = mp.mpf(ctx.target_abs_err)
-        round_eps = mp.mpf(10) ** (-ctx.digits + 2)
         prec = mp.mp.prec
         nodes = [(x._mpf_, w._mpf_) for x, w in gauss_legendre(_GL_ORDER, ctx.digits)]
-        stack = [(a, b, 0, _panel(f, a._mpf_, b._mpf_, nodes, prec))]
-        value = mp.mpf(0)
-        err = mp.mpf(0)
-        panels = 0
-        while stack:
-            lo, hi, depth, coarse = stack.pop()
-            panels += 1
-            if panels > _PANEL_BUDGET:
-                raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
-            mid = (lo + hi) / 2
-            left = _panel(f, lo._mpf_, mid._mpf_, nodes, prec)
-            right = _panel(f, mid._mpf_, hi._mpf_, nodes, prec)
-            fine = left + right
-            e = abs(fine - coarse)
-            # second test: splitting cannot beat the working-precision
-            # roundoff of the panel sums themselves, so stop there (the
-            # difference still lands in the reported radius)
-            if e <= target * (hi - lo) / total_w / 2 or e <= abs(fine) * round_eps * 4:
-                value = fine + value
-                err += e + abs(fine) * round_eps
-            elif depth >= _MAX_DEPTH:
-                raise Unconverged(
-                    "quadrature did not converge at depth %d near [%s, %s]"
-                    % (depth, lo, hi)
-                )
-            else:
-                stack.append((lo, mid, depth + 1, left))
-                stack.append((mid, hi, depth + 1, right))
-        return ErrBounded(value, err, meta={"panels": panels})
+        panel = lambda lo, hi: _panel(f, lo._mpf_, hi._mpf_, nodes, prec)
+        return _adaptive(panel, a, b, mp.mpf(ctx.target_abs_err), ctx)
+
+
+def integrate_fixed(f: Callable, P: int, ctx: PrecisionContext) -> ErrBounded:
+    """Adaptive panel quadrature over [0, 1] on P-bit fixed point.
+
+    ``f`` maps an int ``t`` to an int near ``F(t 2^-P) 2^P``.  Bisection
+    from [0, 1] gives dyadic panel ends, exact on P bits, and each panel
+    is :func:`_fixed_panel`, an exact integer sum with one floor; the
+    bisection is :func:`_adaptive`'s, to the absolute
+    ``ctx.target_abs_err``, and its estimates ``|fine - coarse|`` carry
+    no rounding of the sums.  A call costs ``24 + 48 * meta["panels"]``
+    evaluations of ``f``, and raises :class:`Unconverged` as
+    :func:`_adaptive` does.  ``value`` is the exact sum times 2^-P; ``err``
+    is the quadrature's radius only, and the caller adds the rounding
+    bound.  With ``f(t)`` within E of ``F(t 2^-P) 2^P``, |F| <= M and
+    |F'| <= L on [0, 1], the halves of the accepted panels have
+    half-widths h summing to 1/2, and there are at most
+    ``2 meta["panels"]`` of them, one floor each; so by
+    :func:`_fixed_panel` the value is within
+
+        (E + 5L/4 + 6M + 1 + 2 meta["panels"]) 2^-P
+
+    of the sum of their rules.
+    """
+    with ctx.workprec():
+        nodes = gauss_legendre_fixed(_GL_ORDER, ctx.digits, P)
+        panel = lambda lo, hi: _fixed_panel(f, to_fixed(lo._mpf_, P), to_fixed(hi._mpf_, P), nodes, P)
+        res = _adaptive(panel, mp.mpf(0), mp.mpf(1), mp.ldexp(ctx.target_abs_err, P), ctx)
+        return ErrBounded(mp.ldexp(res.value, -P), mp.ldexp(res.err, -P), res.meta)
 
 
 def poly_exp_antiderivative(m: int, lam, u):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -19,7 +20,13 @@ from fel.lower import (
     reward,
     spectrum,
 )
-from fel.precision import PrecisionContext, integrate_finite, isolate_sign_changes, odd_poly_eval
+from fel.precision import (
+    PrecisionContext,
+    integrate_finite,
+    isolate_sign_changes,
+    odd_poly_eval,
+    poly_exp_integral,
+)
 
 CANON = LowerParams(a="1", c="0", b=("-2",))
 
@@ -165,23 +172,30 @@ def circle_kernels(reference):
 @example(tau=1.0)
 @example(tau=5e-324)
 def test_circle_kernel_within_its_bound(circle_kernels, digits, tau):
-    # the fixed-point integrand against |Q_b(w)| / (1 + tau^2) by mpmath at
-    # twice the digits, from the rational form of w: within the stated
-    # K 2^-P, which is below 10^-digits
+    # the fixed-point integrand at the P-bit int t against
+    # |Q_b(w)| / (1 + tau^2) at tau = t 2^-P by mpmath at twice the digits,
+    # from the rational form of w: within the stated K 2^-P, which is
+    # below 10^-digits
     P = mp.libmp.dps_to_prec(digits) + lower._GUARD_BITS
+    t = math.floor(Fraction(tau) * 2**P)
     assert len(circle_kernels) == 11  # each hostile norm is below 1/sqrt(2): rescaled once
     for bs, shift in circle_kernels:
         kernel, K = lower._circle_kernel(bs, shift, P)
         with mp.workdps(2 * digits):
-            t = mp.mpf(tau)
-            w = (1 - t * t) ** 2 * (1 - 1j * t) ** 4 / (1 + t * t) ** 4
-            acc = 0
-            for bn in reversed(bs):
-                acc = acc * w + mp.mpf(bn.numerator) / bn.denominator
-            exact = mp.ldexp(abs(acc), shift) / (1 + t * t)
+            exact = _circle_integrand(bs, shift, mp.ldexp(t, -P))
             bound = mp.ldexp(K, -P)
-            assert abs(kernel(t) - exact) <= bound, (bs, shift)
+            assert abs(mp.ldexp(kernel(t), -P) - exact) <= bound, (bs, shift)
             assert bound < mp.mpf(10) ** -digits
+
+
+def _circle_integrand(bs, shift, t):
+    """|Q_b(w)| / (1 + tau^2) of b scaled by 2^shift, on mpmath objects at
+    the working precision, from the rational form of w."""
+    w = (1 - t * t) ** 2 * (1 - 1j * t) ** 4 / (1 + t * t) ** 4
+    acc = 0
+    for bn in reversed(bs):
+        acc = acc * w + mp.mpf(bn.numerator) / bn.denominator
+    return mp.ldexp(abs(acc), shift) / (1 + t * t)
 
 
 def _sign_changes(p, lo, ctx):
@@ -221,6 +235,101 @@ def test_sign_partition_matches_dense_scan(ctx40, reference):
     assert len(roots) == flips
 
 
+# random parameter sets for the sign and mass oracles: N from 1 to 12,
+# coefficients up to 1.5e3, translations of both signs
+random_params = st.builds(
+    lambda a, c, b: LowerParams(a=a, c=c, b=tuple(b)),
+    st.decimals("0.05", "1", places=3),
+    st.decimals("-0.5", "3", places=3),
+    st.lists(st.decimals("-1500", "1500", places=4), min_size=1, max_size=12).filter(any),
+)
+
+
+def _partition(p, ctx):
+    """lower._sign_intervals on the positive axis, at the working precision."""
+    a, c, _ = p.mp_values()
+    return lower._sign_intervals(p, -Fraction(p.c) / Fraction(p.a), -c / a, ctx)
+
+
+def _check_signs(p, ctx):
+    # the signs from the roots against the polynomial at each interval's
+    # midpoint, the rule they replace
+    with ctx.workprec():
+        edges, signs = _partition(p, ctx)
+        coeffs = lower._odd_coeffs(p.mp_values()[2])
+        for u1, u2, sign in zip(edges, edges[1:], signs):
+            if u2 > u1:
+                v = odd_poly_eval(coeffs, (u1 + u2) / 2)
+                assert sign == (v > 0) - (v < 0), (p, u1, u2)
+
+
+def test_sign_intervals_match_midpoint_signs(ctx40, reference):
+    cases = [p for _, p in reference.values()] + [_close_root_params(q) for q in CLOSE_ROOT_PAIRS]
+    for p in cases:
+        _check_signs(p, ctx40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=random_params)
+def test_sign_intervals_match_midpoint_signs_random(ctx40, p):
+    _check_signs(p, ctx40)
+
+
+def _check_masses(p, digits):
+    # head, pos_mass and neg_mass from the antiderivative polynomial against
+    # the sum of closed-form monomial integrals (precision.poly_exp_integral)
+    # at twice the digits, on the same edges and with midpoint signs: within
+    # the reward's round_eps times the magnitudes of both sums' terms
+    ctx = PrecisionContext.make(digits)
+    with ctx.workprec():
+        got = lower._masses(p, ctx)
+        a, c, _ = p.mp_values()
+        edges, _ = _partition(p, ctx) if c > 0 else ([min(mp.mpf(0), -c / a)], [])
+        round_eps = mp.mpf(10) ** (-(digits - 6))
+    R = lower._mass_poly(p)
+    with mp.workdps(2 * digits):
+        a, c, bs = p.mp_values()
+        lam = 1 + a
+        pref = (a / mp.pi) * mp.e**c
+        coeffs = lower._odd_coeffs(bs)
+        mag = pref * mp.fsum(
+            mp.e ** (lam * x) * mp.fsum(abs(r.numerator * x**i / r.denominator) for i, r in enumerate(R))
+            for x in edges
+        )
+
+        def piece(u1, u2):
+            nonlocal mag
+            terms = [pref * ck * poly_exp_integral(2 * k + 1, lam, u1, u2) for k, ck in enumerate(coeffs)]
+            mag += mp.fsum(map(abs, terms))
+            return mp.fsum(terms)
+
+        want = [piece(-mp.inf, edges[0]), mp.mpf(0), mp.mpf(0)]
+        for u1, u2 in zip(edges, edges[1:]):
+            if u2 > u1:
+                v = piece(u1, u2)
+                if odd_poly_eval(coeffs, (u1 + u2) / 2) >= 0:
+                    want[1] += v
+                else:
+                    want[2] -= v
+        want[1:] = (max(w, mp.mpf(0)) for w in want[1:])  # the masses are clipped at 0
+        for g, w in zip(got, want):
+            assert abs(g - w) <= round_eps * mag, (p, g, w)
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_masses_equal_poly_exp_oracle(digits, reference):
+    cases = [p for _, p in reference.values()] + [_close_root_params(q) for q in CLOSE_ROOT_PAIRS]
+    for p in cases:
+        _check_masses(p, digits)
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+@settings(max_examples=20, deadline=None)
+@given(p=random_params)
+def test_masses_equal_poly_exp_oracle_random(digits, p):
+    _check_masses(p, digits)
+
+
 def test_reward_endpoint(ctx40):
     r = reward(CANON, INF, ctx40)
     assert abs(r.value - 1) < 1e-12
@@ -242,15 +351,24 @@ def test_reward_penalty_at_working_precision(ctx40, reference):
         assert gap <= r0.err + r13.err + r12.err
 
 
-@pytest.mark.parametrize("pair", [("1", "1.00001"), ("1.3", "1.30001")])
+CLOSE_ROOT_PAIRS = [("1", "1.00001"), ("1.3", "1.30001")]
+
+
+def _close_root_params(pair):
+    """g(u) = -u (u^2 - r1^2)(u^2 - r2^2), a = 1, c = 2.4: two sign changes
+    1e-5 apart on the positive axis (u in (-2.4, 0))."""
+    s1, s2 = (Decimal(r) ** 2 for r in pair)
+    return LowerParams(a="1", c="2.4", b=(-(s1 * s2), 6 * (s1 + s2), Decimal(-120)))
+
+
+@pytest.mark.parametrize("pair", CLOSE_ROOT_PAIRS)
 @pytest.mark.parametrize("penalty", ["1/2", "3"])
 def test_reward_close_root_pair_matches_exact_roots(ctx40, pair, penalty):
-    # g(u) = -u (u^2 - r1^2)(u^2 - r2^2), a = 1, c = 2.4: two sign changes
-    # 1e-5 apart on the positive axis (u in (-2.4, 0)); the certified reward
-    # must agree with the one integrated between the known roots
+    # the certified reward must agree with the one integrated between the
+    # known roots
     r1, r2 = (Decimal(r) for r in pair)
     s1, s2 = r1 * r1, r2 * r2
-    p = LowerParams(a="1", c="2.4", b=(-(s1 * s2), 6 * (s1 + s2), Decimal(-120)))
+    p = _close_root_params(pair)
     res = reward(p, penalty, ctx40)
     with mp.workdps(60):
         R1, R2 = mp.mpf(str(s1)), mp.mpf(str(s2))

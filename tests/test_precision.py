@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from fel.precision import (
     PrecisionContext,
     Unconverged,
     gauss_legendre,
+    gauss_legendre_fixed,
     integrate_finite,
+    integrate_fixed,
     isolate_sign_changes,
     maximize_scalar,
     odd_poly_eval,
@@ -102,6 +105,62 @@ def test_integrate_unconverged_on_cusp(ctx40):
     # infinite-derivative cusp cannot meet a 1e-30 goal within the depth budget
     with pytest.raises(Unconverged):
         integrate_finite(lambda t: mp.sqrt(abs(t)), -1, 1, ctx40)
+    P = mp.libmp.dps_to_prec(ctx40.digits) + 32
+    with pytest.raises(Unconverged):
+        integrate_fixed(lambda t: math.isqrt(t << P), P, ctx40)
+
+
+# P-bit integer integrands for the fixed-point quadrature, each with its
+# exact form and the constants of integrate_fixed's rounding bound: within
+# E of 2^P F, |F| <= M and |F'| <= L on [0, 1]
+FIXED_INTEGRANDS = [
+    # one floor of 2^P / (1 + 25 tau^2); |F'| peaks at 3.25
+    (lambda P: lambda t: (1 << 3 * P) // ((1 << 2 * P) + 25 * t * t),
+     lambda t: 1 / (1 + 25 * t * t), 1, 1, 4),
+    # one floor of 2^P tau^3
+    (lambda P: lambda t: t**3 >> 2 * P, lambda t: t**3, 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+@settings(max_examples=25, deadline=None)
+@given(panel=st.integers(0, precision._MAX_DEPTH).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, 2**d - 1))))
+def test_fixed_panel_within_its_bound(digits, panel):
+    # one fixed-point panel on a dyadic sub-panel of [0, 1] against the
+    # rule on the same stored nodes and weights at twice the digits: within
+    # h (12 M + 2 D + 1) u + u, D = E + 5L/4, u = 2^-P
+    depth, k = panel
+    P = mp.libmp.dps_to_prec(digits) + 32
+    nodes = gauss_legendre_fixed(precision._GL_ORDER, digits, P)
+    with mp.workdps(2 * digits):
+        for (x, w), (X, W) in zip(gauss_legendre(precision._GL_ORDER, digits), nodes):
+            assert abs(mp.ldexp(X, -P) - x) <= mp.ldexp(1, -P - 1)
+            assert abs(mp.ldexp(W, -P) - w) <= mp.ldexp(1, -P - 1)
+        lo, hi = k << P - depth, k + 1 << P - depth
+        h = mp.ldexp(1, -depth - 1)
+        for fixed, exact, E, M, L in FIXED_INTEGRANDS:
+            got = mp.ldexp(precision._fixed_panel(fixed(P), lo, hi, nodes, P), -P)
+            want = panel_oracle(exact, mp.ldexp(lo, -P), mp.ldexp(hi, -P), digits)
+            bound = (h * (12 * M + 2 * (E + mp.mpf(5) * L / 4) + 1) + 1) * mp.ldexp(1, -P)
+            assert abs(got - want) <= bound, (depth, k)
+
+
+def test_integrate_fixed_evaluation_count(ctx40):
+    # the shared bisection of integrate_finite: 24 + 48 * panels integer
+    # evaluations, within the quadrature radius plus the stated rounding
+    # bound (E + 5L/4 + 6M + 1 + 2 panels) 2^-P of the integral
+    P = mp.libmp.dps_to_prec(ctx40.digits) + 32
+    fixed, _, E, M, L = FIXED_INTEGRANDS[0]
+    calls = []
+    f = fixed(P)
+    r = integrate_fixed(lambda t: calls.append(t) or f(t), P, ctx40)
+    assert r.meta["panels"] > 1
+    assert len(calls) == 24 + 48 * r.meta["panels"]
+    assert all(type(t) is int and 0 <= t <= 1 << P for t in calls)
+    with ctx40.workprec():
+        rounding = mp.ldexp(E + mp.mpf(5) * L / 4 + 6 * M + 1 + 2 * r.meta["panels"], -P)
+        assert abs(r.value - mp.atan(5) / 5) <= r.err + rounding + mp.mpf("1e-35")
 
 
 def test_poly_exp_antiderivative_values(ctx40):
