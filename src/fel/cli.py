@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_rational
 
-from . import closed_form, lower, nt, search, tables, upper
+from . import closed_form, lower, tables, upper
 from .precision import PrecisionContext, Unconverged, as_penalty
 
 EXIT_OK = 0
@@ -194,6 +194,8 @@ def cmd_upper_eval(ns) -> int:
 
 
 def cmd_search(ns) -> int:
+    from . import search  # imported here: it loads numpy (about 0.1 s), which lower-eval never needs
+
     ctx = _context(ns)
     problem = ns.get("problem")
     if problem not in ("lower", "upper"):
@@ -305,6 +307,8 @@ def cmd_plot_data(ns) -> int:
 
 
 def cmd_nt(ns) -> int:
+    from . import nt  # imported here, as search is in cmd_search
+
     kind = ns.get("kind")
     out = ns.get("out")
     if kind in ("qnr", "prime-qr"):

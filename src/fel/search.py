@@ -197,22 +197,20 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
 # fast float evaluators
 
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
 @functools.lru_cache(maxsize=8)
 def _circle_rule(N: int):
     """(V, wts, odd factorials) for N coefficients, built on first use.
 
-    The nodes phi_j are 8 panels of :data:`_GL64` on [0, pi/2]; ``V[0]``
-    and ``V[1]`` are the real and imaginary parts of ``v_j^(2n)`` (n from 0)
-    with ``v = (1 + e^(-2i phi)) / 2``, and ``wts`` carries the 1/pi of the
-    circle form, so ``wts @ hypot(*(V @ b))`` is ||f_b||_1.  Two real
-    mat-vecs, because OpenBLAS threads a complex one of this size and then
-    waits on its worker whenever the other cores are busy.  Built here, not
-    at import: the CLI imports this module.
+    The nodes phi_j are 8 panels of the 64-point Gauss-Legendre rule on
+    [0, pi/2]; ``V[0]`` and ``V[1]`` are the real and imaginary parts of
+    ``v_j^(2n)`` (n from 0) with ``v = (1 + e^(-2i phi)) / 2``, and ``wts``
+    carries the 1/pi of the circle form, so ``wts @ hypot(*(V @ b))`` is
+    ||f_b||_1.  Two real mat-vecs, because OpenBLAS threads a complex one of
+    this size and then waits on its worker whenever the other cores are
+    busy.  Built here, not at import: only the lower search needs the rule,
+    and ``numpy.polynomial`` with it.
     """
-    x, w = _GL64
+    x, w = np.polynomial.legendre.leggauss(64)
     h = math.pi / 16
     phi = ((np.arange(8)[:, None] + 0.5) * h + 0.5 * h * x).ravel()
     v = 0.5 * (1.0 + np.exp(-2j * phi))

@@ -8,6 +8,7 @@ in version-controlled JSON so tests and the CLI never re-transcribe numbers.
 
 from __future__ import annotations
 
+import functools
 import json
 from decimal import Decimal
 from importlib import resources
@@ -29,7 +30,9 @@ PENALTIES = ("1/4", "1/3", "1/2", "1", "3")
 ORDER_TO_PENALTY = {2: "1", 3: "1/2", 4: "1/3", 5: "1/4"}
 
 
+@functools.cache
 def _load(name: str) -> dict:
+    """The parsed JSON file ``name``, read once per process; callers only read it."""
     with resources.files("fel.data").joinpath(name).open("r") as fh:
         return json.load(fh)
 

@@ -26,7 +26,11 @@ is the formula above on mpmath objects, the reference of the tests.
 The float form of the residual, :func:`residual_np`, is the numpy kernel
 behind the branch-and-bound grid, the local-maxima scan and the plots.  The
 search's sup estimate :func:`fast_sup` evaluates the same residual in an
-Abel-summed form, one small complex matmul per stage.
+Abel-summed form, one small complex matmul per stage.  These float kernels
+import numpy themselves, when they first run: :mod:`fel.tables` and the
+commands that never touch the grid (``lower-eval``, ``bounds``) need only
+:class:`UpperParams`, and importing numpy would cost them about 0.1 s of
+start-up.
 
 Throughout this module ``t`` is the code's frequency: the exponentials
 ``e^{(pi - 2 pi i t) T}`` above come from the transform kernel
@@ -43,12 +47,14 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import fone, fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 from mpmath.libmp import round_nearest as _RND
+
+if TYPE_CHECKING:
+    import numpy as np
 
 from .precision import (
     INF,
@@ -76,7 +82,7 @@ _DEFAULT_SLACK = 1e-8       # certification radius goal of the grid stage
 _SPLIT = 8                  # branch-and-bound cell split factor
 _MAX_ROUNDS = 40
 _CELL_BUDGET = 4_000_000
-_TWO_PI_I, _MINUS_TWO_PI_I = 2j * np.pi, -2j * np.pi
+_TWO_PI_I, _MINUS_TWO_PI_I = 2j * math.pi, -2j * math.pi
 _FLOAT_CEILING = mp.mpf(sys.float_info.max) / 2**10  # headroom for the grid's few products
 
 
@@ -252,6 +258,8 @@ def _modulus_and_slope(table: _PieceTable):
 
 def _alternation(A, n: int) -> np.ndarray:
     """The weights ``A, -1, A, -1, ...`` of ``n`` pieces, as floats."""
+    import numpy as np
+
     cs = np.full(n, -1.0)
     cs[::2] = float(A)
     return cs
@@ -264,6 +272,8 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     ``float`` accepts).  Each ``e^{(pi - 2 pi i t) T_n}`` is computed once
     (1 for ``T_0 = 0``).  With ``deriv`` the result is (residual, d/dt residual).
     """
+    import numpy as np
+
     z = 1 - 2j * ts
     w = np.pi - _TWO_PI_I * ts
     val = 2 / z
@@ -311,6 +321,8 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     the formula needs, on cached index arrays and in place, in an order
     that fixes every rounding.  The tests pin its floats with ``==``.
     """
+    import numpy as np
+
     n = knots.size
     if n and ((knots[1:] <= knots[:-1]).any() or knots[0] <= 0 or knots[-1] > 30):
         return 1e9
@@ -347,6 +359,8 @@ def _pieces(A: float, n: int):
 
     Built once per ``(A, n)`` and read-only: every call shares them.
     """
+    import numpy as np
+
     cs = _alternation(A, n)
     dc2, cabs = 2 * np.diff(cs, append=0.0), np.abs(cs)
     dc2.flags.writeable = cabs.flags.writeable = False
@@ -356,6 +370,8 @@ def _pieces(A: float, n: int):
 @functools.lru_cache(maxsize=64)
 def _columns(k: int, dtype=float):
     """``np.arange(k)`` as ``dtype``, read-only and shared."""
+    import numpy as np
+
     out = np.arange(k, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -369,6 +385,8 @@ def _stage(d0, weights, freq, lo, delta, cols: int):
     arrays, as ``d0 + E_row @ (w E_col)`` and ``|num| / sqrt(1 + (4 t) t)``
     in that order of operations.
     """
+    import numpy as np
+
     offs = delta * _columns(cols)
     row_exp = lo[:, None] * freq
     np.exp(row_exp, out=row_exp)
@@ -431,6 +449,8 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, target=None):
     ``target`` also returns early once a sample exceeds it (used by the
     below-threshold certifier).
     """
+    import numpy as np
+
     A, knots = up.penalty, up.knots
     if t_hi <= t_lo:
         v = float(abs(residual_np(A, knots, np.array([t_lo]))[0]))
@@ -564,6 +584,8 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
     positions quoted by the acceptance criteria are ``t/pi``.  Knots that take
     the float grid out of range raise ``ValueError``.
     """
+    import numpy as np
+
     with ctx.workprec():
         abs_residual, slope = _modulus_and_slope(_piece_table(up)[0])
         ts = np.linspace(t_lo, t_hi, samples + 1)
@@ -605,6 +627,8 @@ def curve_samples(up: UpperParams, t_lo: float, t_hi: float, samples: int):
     criteria are ``t/pi``.  Knots that take the float grid out of range raise
     ``ValueError``.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     _piece_table(up)  # the range check alone

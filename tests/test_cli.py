@@ -645,18 +645,27 @@ def test_search_upper_overflowing_penalty(capsys):
     assert abs(float(rep["value"]) - 2) < 1e-6
 
 
-def test_commands_other_than_upper_search_do_not_load_scipy():
-    # scipy.optimize is imported by the upper search's Nelder-Mead alone; this
-    # process has it already (conftest imports fel.search), so ask a fresh one
+def test_commands_load_numpy_and_scipy_only_when_they_use_them():
+    # numpy is imported by the float kernels (the upper grid, the searches,
+    # the sieves) and scipy.optimize by the upper search's Nelder-Mead alone;
+    # this process has both already (conftest imports fel.search), so ask a
+    # fresh one
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from fel import cli\n"
-        "for argv in (['upper-eval', '--A', '1'], ['lower-eval', '--A', '1'], ['bounds'],\n"
-        "             ['nt', '--kind', 'qnr', '--max-p', '2000']):\n"
+        "for argv, status in ((['lower-eval', '--A', '1'], 0), (['bounds', '--orders', '2,5,10'], 0),\n"
+        "                     (['plot-data', '--figure', 'lower-family', '--samples', '5'], 0),\n"
+        "                     (['lower-eval', '--A', '7/5'], 2)):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == status, argv\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))[:5]\n"
+        "for argv in (['upper-eval', '--A', '1'], ['nt', '--kind', 'qnr', '--max-p', '2000']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import fel.search\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=600)

@@ -9,7 +9,6 @@ import pytest
 
 from fel import lower, tables, upper
 from fel.search import (
-    _GL64,
     SearchConfig,
     _fast_l1_norm,
     _fast_lower_value,
@@ -65,7 +64,7 @@ def fast_lower_oracle(a, c, b, penalty):
     else:
         r_star = 0.5
     X = 2.0 * math.sqrt(max((1.0 / r_star - 1.0) / (4 * a * a), 1.0))
-    nodes, weights = _GL64
+    nodes, weights = np.polynomial.legendre.leggauss(64)
 
     def abs_f(x):
         w = 1.0 / (1.0 + 2j * a * x) ** 2
