@@ -4,13 +4,16 @@
 For every penalty value this certifies the lower-family reward and the
 upper-family sup-norm, and prints the sandwich ``value - err`` rounded down
 and ``value + err`` rounded up, the implied asymptotic constants computed
-from those two numbers, and the published five-digit values.
+from those two numbers, and the published five-digit values.  It exits
+non-zero when a lower end exceeds its upper end or a lower-family L^1 norm
+is not within 1e-3 of 1.
 
 Usage:
     python scripts/reproduce_bounds.py [--digits 40]
 """
 
 import argparse
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -48,8 +51,10 @@ def main():
                   f"{mp.nstr(implied_constant(lo_end, ctx), 6):>10} "
                   f"{mp.nstr(implied_constant(hi_end, ctx), 6):>10} "
                   f"{elapsed:5.1f}s")
-        assert Decimal(lo_end) <= Decimal(hi_end)
-        assert abs(lo.meta["l1"].value - 1) < 1e-3
+        if not Decimal(lo_end) <= Decimal(hi_end):
+            sys.exit(f"penalty {key}: the lower end {lo_end} exceeds the upper end {hi_end}")
+        if not abs(lo.meta["l1"].value - 1) < 1e-3:
+            sys.exit(f"penalty {key}: the L^1 norm {mp.nstr(lo.meta['l1'].value, 10)} is not within 1e-3 of 1")
     print("\ngeneric closed-form lower bounds (tent profile):")
     for key in ("1/4", "1/3", "1/2"):
         A = Fraction(key)

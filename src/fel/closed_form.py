@@ -11,57 +11,25 @@ bound
 together with the weaker but simpler  2 - 2 log 3 / |log A|.  An extremal
 constant bound b converts to the implied asymptotic constant b^-2; for
 penalties 1/(order-1) with large integer order the sharp and simple variants
-are exposed directly in terms of the order.
+are exposed directly in terms of the order.  The tent reward itself and
+its optimal width and shift, from which the first branch is derived, are
+the tests' reference (``tests/oracles.py``), not part of this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath as mp
 
-from .precision import ErrBounded, PrecisionContext, integrate_finite
+from .precision import PrecisionContext
 
 __all__ = [
-    "TentParams",
     "closed_lower_bound",
     "closed_lower_bound_first_branch",
-    "simple_lower_bound",
-    "tent_reward",
-    "tent_reward_quadrature",
-    "tent_optimal",
     "implied_constant",
     "large_order_constant",
 ]
 
 _CTX30 = PrecisionContext.make(30)
-
-
-@dataclass(frozen=True)
-class TentParams:
-    """Width parameter ``epsilon > 0``, shift ``c >= 0`` and penalty in [0, 1).
-
-    The closed form requires 0 <= c <= 1/epsilon.
-    """
-
-    epsilon: object
-    shift: object
-    penalty: object
-
-    def __post_init__(self):
-        with mp.workdps(max(mp.mp.dps, 30)):
-            eps = mp.mpf(str(self.epsilon))
-            c = mp.mpf(str(self.shift))
-            A = mp.mpf(str(self.penalty))
-            if not eps > 0:
-                raise ValueError("epsilon must be positive")
-            if not (0 <= c <= 1 / eps):
-                raise ValueError("need 0 <= shift <= 1/epsilon")
-            if A < 0:
-                raise ValueError("penalty must be non-negative")
-            object.__setattr__(self, "epsilon", eps)
-            object.__setattr__(self, "shift", c)
-            object.__setattr__(self, "penalty", A)
 
 
 def _check_open_unit(A):
@@ -82,79 +50,6 @@ def closed_lower_bound(penalty, ctx: PrecisionContext = _CTX30):
     """Generic lower bound for the extremal constant on 0 < penalty < 1."""
     with ctx.workprec():
         return max(closed_lower_bound_first_branch(penalty, ctx), mp.mpf(1))
-
-
-def simple_lower_bound(penalty, ctx: PrecisionContext = _CTX30):
-    """Weaker but simpler variant: 2 - 2 log 3 / |log penalty|."""
-    with ctx.workprec():
-        A = _check_open_unit(penalty)
-        return 2 - 2 * mp.log(3) / abs(mp.log(A))
-
-
-def tent_reward(tp: TentParams, ctx: PrecisionContext = _CTX30):
-    """Closed form of the reward functional on the translated tent profile.
-
-    Derived by elementary integration of (1 - |eps*(t+c)|)_+ e^{pi t} over
-    the negative and positive half-lines (the profile is non-negative, and
-    its underlying function has unit L^1 norm).
-    """
-    with ctx.workprec():
-        eps, c, A = tp.epsilon, tp.shift, tp.penalty
-        pi = mp.pi
-        return (
-            2
-            - 4 * eps * mp.e ** (-pi * c) / pi
-            - 2 * eps * (pi * c - 1) / pi
-            + 2 * eps * mp.e ** (-pi * c - pi / eps) / pi
-            + 2 * A * (
-                1
-                - eps * mp.e ** (-pi * c + pi / eps) / pi
-                - eps * (pi * c - 1) / pi
-            )
-        )
-
-
-def tent_reward_quadrature(tp: TentParams, ctx: PrecisionContext = _CTX30) -> ErrBounded:
-    """Independent quadrature evaluation of the tent reward.
-
-    Integrates (1 - |eps*(t+c)|)_+ e^{pi t} piecewise between the kinks at
-    t = -c - 1/eps, -c, 0, -c + 1/eps, so each panel sees a smooth
-    integrand; the L^1 normalization is exactly 1.
-    """
-    with ctx.workprec():
-        eps, c, A = tp.epsilon, tp.shift, tp.penalty
-
-        def profile(t):
-            return max(1 - abs(eps * (t + c)), mp.mpf(0))
-
-        f = lambda t: profile(t) * mp.e ** (mp.pi * t)
-        left = -c - 1 / eps
-        apex = -c
-        right = -c + 1 / eps
-        neg = integrate_finite(f, left, apex, ctx)
-        n2 = integrate_finite(f, apex, min(right, mp.mpf(0)), ctx)
-        neg_val = neg.value + n2.value
-        neg_err = neg.err + n2.err
-        if right > 0:
-            pos = integrate_finite(f, 0, right, ctx)
-        else:
-            pos = ErrBounded(mp.mpf(0), mp.mpf(0))
-        val = 2 * mp.pi * (neg_val - A * pos.value)
-        err = 2 * mp.pi * (neg_err + A * pos.err)
-        return ErrBounded(val, err)
-
-
-def tent_optimal(penalty, ctx: PrecisionContext = _CTX30) -> TentParams:
-    """Optimal tent width and shift for a penalty in (0, 1).
-
-    epsilon = pi / log(1/A) and shift = log((3-A)/(A+1)) / pi, at which the
-    closed form equals the first branch of :func:`closed_lower_bound`.
-    """
-    with ctx.workprec():
-        A = _check_open_unit(penalty)
-        eps = mp.pi / mp.log(1 / A)
-        c = mp.log((3 - A) / (A + 1)) / mp.pi
-        return TentParams(epsilon=eps, shift=c, penalty=A)
 
 
 def implied_constant(bound, ctx: PrecisionContext = _CTX30):

@@ -57,8 +57,6 @@ __all__ = [
     "LowerParams",
     "NotInClassError",
     "DegenerateError",
-    "spectrum",
-    "modulus",
     "l1_norm",
     "reward",
     "curve_samples",
@@ -123,32 +121,13 @@ def _exact_odd_coeffs(p: LowerParams):
     return [Fraction(bn) / math.factorial(2 * k + 1) for k, bn in enumerate(p.b)]
 
 
-def spectrum(p: LowerParams, t) -> object:
-    """Transform profile at ``t``: g((pi*t - c)/a); zero for pi*t > c."""
-    a, c, bs = p.mp_values()
-    return _profile(a, c, _odd_coeffs(bs), t)
-
-
 def _profile(a, c, coeffs, t):
-    """:func:`spectrum` from parsed ``a``, ``c`` and :func:`_odd_coeffs` ``coeffs``."""
+    """The transform profile g((pi*t - c)/a) at ``t``, zero for pi*t > c,
+    from parsed ``a``, ``c`` and :func:`_odd_coeffs` ``coeffs``."""
     u = (mp.pi * mp.mpf(t) - c) / a
     if u > 0:
         return mp.mpf(0)
     return mp.e**u * odd_poly_eval(coeffs, u)
-
-
-def modulus(p: LowerParams, x) -> object:
-    """|f(x)| of the underlying L^1 function: (a/pi)|sum b_n w^n|, w = 1/(1+2iax)^2.
-
-    Plain mpmath at the working precision, by Horner in w; :func:`l1_norm`
-    integrates its own kernel instead.
-    """
-    a, _, bs = p.mp_values()
-    w = 1 / (1 + 2j * a * mp.mpf(x)) ** 2
-    acc = 0
-    for bn in reversed(bs):
-        acc = acc * w + bn
-    return (a / mp.pi) * abs(acc * w)
 
 
 def _circle_kernel(bs, shift, P):

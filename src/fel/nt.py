@@ -16,8 +16,7 @@ whenever a caller asks for more primes than it holds, for the small primes
 l of the symbol tables and the first hits of the arithmetic progressions.
 Quadratic symbols come from quadratic reciprocity, one Legendre table of
 the squares mod l per small prime l, applied to a whole block of primes at
-once.  Miller-Rabin (deterministic for 64-bit inputs, standard 12-witness
-set) only validates scalar inputs.
+once.
 Scan ratios are computed at 30 decimal digits (103 bits, round-nearest),
 and printed to 20 digits, at the ``mpmath.libmp`` level: the ratio by
 ``mpf_log`` and ``mpf_div``, its printed digits by a small integer kernel
@@ -47,9 +46,6 @@ __all__ = [
     "NtRecord",
     "ScanSummary",
     "PrimeSumReport",
-    "is_prime_u64",
-    "least_qnr",
-    "least_prime_qr",
     "primes_upto",
     "segmented_primes",
     "scan",
@@ -74,43 +70,6 @@ SIEVE_BUDGET = 2 * 10**8
 # comparators; see the module docstring.  For prime-qr the last prime up to
 # 1e6 above the comparator is 163 (least prime residue 41, ratio 1.580).
 DEFAULT_SCAN_FLOORS = {"qnr": 11, "prime-qr": 167, "ap": 4}
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_SMALL_LIMIT = 3_215_031_751
-_MR_SMALL_WITNESSES = _MR_WITNESSES[:4]
-
-
-def is_prime_u64(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 64-bit).
-
-    Below 3_215_031_751 the four bases 2, 3, 5, 7 suffice (Jaeschke 1993);
-    above it the twelve bases up to 37 are used.
-    """
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _check_odd_prime(p: int):
-    if p < 3 or not is_prime_u64(p):
-        raise ValueError("%r is not an odd prime" % (p,))
-
 
 def _least_prime_with_symbol(ps: np.ndarray, want: int) -> np.ndarray:
     """For each odd prime p of ``ps``, the least prime l with (l|p) == want.
@@ -141,19 +100,6 @@ def _least_prime_with_symbol(ps: np.ndarray, want: int) -> np.ndarray:
         left = left[~hit]
         i += 1
     return out
-
-
-def least_qnr(p: int) -> int:
-    """Least quadratic non-residue modulo an odd prime (always prime itself,
-    so only primes are tried)."""
-    _check_odd_prime(p)
-    return int(_least_prime_with_symbol(np.array([p]), -1)[0])
-
-
-def least_prime_qr(p: int) -> int:
-    """Least prime that is a quadratic residue modulo an odd prime."""
-    _check_odd_prime(p)
-    return int(_least_prime_with_symbol(np.array([p]), 1)[0])
 
 
 def primes_upto(n: int) -> np.ndarray:

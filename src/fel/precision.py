@@ -1,21 +1,15 @@
 """Arbitrary-precision scalar kernels shared by every other module.
 
-Three primitives, all operating on mpmath scalars at a precision fixed by a
-:class:`PrecisionContext`, with explicit absolute-error radii where a
-result is not exact:
+Three primitives, at a precision fixed by a :class:`PrecisionContext`,
+with explicit absolute-error radii where a result is not exact:
 
-* adaptive 24-point Gauss-Legendre quadrature, each panel checked against
-  the sum over its halves, under one bisection loop with two panel
-  kinds: ``mpf`` panels on any finite interval (:func:`integrate_finite`)
-  and exact integer panels on P-bit fixed point over [0, 1]
-  (:func:`integrate_fixed`, with a stated rounding bound),
-* closed-form antiderivatives of ``u^m * exp(lam*u)``, the tests'
-  reference: the reward's masses come from one exact antiderivative
-  polynomial in :mod:`fel.lower`, and the tests hold those masses and the
-  quadrature to these,
+* adaptive 24-point Gauss-Legendre quadrature over [0, 1] on one panel
+  kind, exact integer panels on P-bit fixed point, each checked against
+  the sum over its halves (:func:`integrate_fixed`, with a stated
+  rounding bound),
 * exact isolation of the sign changes of odd-power polynomials (Sturm
-  sequences in rational arithmetic, no sampling) and the safeguarded
-  Newton polish of a bracketed 1-D maximum;
+  sequences in rational arithmetic, no sampling),
+* the safeguarded Newton polish of a bracketed 1-D maximum;
 
 plus the two normalisers every parameter type shares: penalties to exact
 fractions (or :data:`INF`) and knots or coefficients to exact decimals.
@@ -44,7 +38,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, ftwo, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest as _RND, to_fixed
 
 __all__ = [
     "INF",
@@ -55,10 +48,7 @@ __all__ = [
     "Unconverged",
     "gauss_legendre",
     "gauss_legendre_fixed",
-    "integrate_finite",
     "integrate_fixed",
-    "poly_exp_antiderivative",
-    "poly_exp_integral",
     "odd_poly_eval",
     "isolate_sign_changes",
     "maximize_scalar",
@@ -202,36 +192,6 @@ def gauss_legendre_fixed(order: int, dps: int, P: int):
     return tuple((nearest(x), nearest(w)) for x, w in gauss_legendre(order, dps))
 
 
-def _panel(f, lo, hi, nodes, prec):
-    """24-point Gauss-Legendre value of ``f`` on [lo, hi] (``mpf`` tuples).
-
-    The sum over ``nodes`` (the raw tuples of :func:`gauss_legendre`) runs
-    on libmp values at ``prec`` bits, round-nearest: the abscissae
-    ``mid +- half*x`` and the weighted sums ``w*(f+ + f-)`` are the libmp
-    calls that mpmath's operators make for the same formula, so the value
-    is theirs bit for bit.  ``f`` maps an ``mpf`` to an ``mpf``, or to an
-    ``mpc``, whose two parts are summed alike.
-    """
-    mid = mpf_div(mpf_add(lo, hi, prec, _RND), ftwo, prec, _RND)
-    half = mpf_div(mpf_sub(hi, lo, prec, _RND), ftwo, prec, _RND)
-    re = im = fzero
-    is_complex = False
-    for x, w in nodes:
-        hx = mpf_mul(half, x, prec, _RND)
-        s = f(mp.make_mpf(mpf_add(mid, hx, prec, _RND))) + f(mp.make_mpf(mpf_sub(mid, hx, prec, _RND)))
-        if hasattr(s, "_mpc_"):
-            sr, si = s._mpc_
-            re = mpf_add(re, mpf_mul(sr, w, prec, _RND), prec, _RND)
-            im = mpf_add(im, mpf_mul(si, w, prec, _RND), prec, _RND)
-            is_complex = True
-        else:
-            re = mpf_add(re, mpf_mul(w, s._mpf_, prec, _RND), prec, _RND)
-    re = mpf_mul(re, half, prec, _RND)
-    if is_complex:
-        return mp.make_mpc((re, mpf_mul(im, half, prec, _RND)))
-    return mp.make_mpf(re)
-
-
 def _fixed_panel(f, lo, hi, nodes, P):
     """24-point Gauss-Legendre value of ``f`` on [lo u, hi u], u = 2^-P.
 
@@ -267,92 +227,30 @@ def _fixed_panel(f, lo, hi, nodes, P):
     return w2 * acc >> 2 * P + 1
 
 
-def _adaptive(panel, a, b, target, ctx: PrecisionContext) -> ErrBounded:
-    """The adaptive bisection that :func:`integrate_finite` and
-    :func:`integrate_fixed` share; call inside ``ctx.workprec()``.
-
-    ``panel(lo, hi)`` is the 24-point rule on [lo, hi] for ``mpf`` ends
-    ``a <= lo < hi <= b``, in the units of ``target``.  Every panel
-    carries its rule's value; the rule on its two halves gives the panel's
-    estimate, and the distance between the two is its error estimate
-    (Gander and Gautschi, BIT 40 (2000)).  A panel is accepted when that
-    distance is within its width-proportional share of ``target``, or
-    within four roundings of the working precision (``round_eps``, two
-    digits below it) of its value: splitting cannot beat the roundoff of
-    the panel sums themselves, and the distance still lands in the radius,
-    with ``|fine| round_eps``.  Otherwise it is bisected, each half
-    keeping its value: ``meta["panels"]`` panels cost
-    ``1 + 2 * meta["panels"]`` rules.  Raises :class:`Unconverged` when
-    the bisection depth or the panel budget is exhausted.
-    """
-    total_w = b - a
-    round_eps = mp.mpf(10) ** (-ctx.digits + 2)
-    stack = [(a, b, 0, panel(a, b))]
-    value = 0
-    err = mp.mpf(0)
-    panels = 0
-    while stack:
-        lo, hi, depth, coarse = stack.pop()
-        panels += 1
-        if panels > _PANEL_BUDGET:
-            raise Unconverged("quadrature panel budget exhausted on [%s, %s]" % (a, b))
-        mid = (lo + hi) / 2
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        fine = left + right
-        e = abs(fine - coarse)
-        if e <= target * (hi - lo) / total_w / 2 or e <= abs(fine) * round_eps * 4:
-            value = fine + value
-            err += e + abs(fine) * round_eps
-        elif depth >= _MAX_DEPTH:
-            raise Unconverged(
-                "quadrature did not converge at depth %d near [%s, %s]"
-                % (depth, lo, hi)
-            )
-        else:
-            stack.append((lo, mid, depth + 1, left))
-            stack.append((mid, hi, depth + 1, right))
-    return ErrBounded(value, err, meta={"panels": panels})
-
-
-def integrate_finite(f: Callable, a, b, ctx: PrecisionContext) -> ErrBounded:
-    """Adaptive panel quadrature of a continuous ``f`` on [a, b].
-
-    ``f`` maps an ``mpf`` to an ``mpf`` or ``mpc``; the panels are summed
-    on libmp values at the working precision (:func:`_panel`) under the
-    bisection of :func:`_adaptive`, to the absolute ``ctx.target_abs_err``.
-    A call costs ``24 + 48 * meta["panels"]`` evaluations of ``f``, and
-    raises :class:`Unconverged` as :func:`_adaptive` does.
-    """
-    with ctx.workprec():
-        a, b = mp.mpf(a), mp.mpf(b)
-        if a == b:
-            return ErrBounded(mp.mpf(0), mp.mpf(0), meta={"panels": 0})
-        if a > b:
-            res = integrate_finite(f, b, a, ctx)
-            return ErrBounded(-res.value, res.err, res.meta)
-        prec = mp.mp.prec
-        nodes = [(x._mpf_, w._mpf_) for x, w in gauss_legendre(_GL_ORDER, ctx.digits)]
-        panel = lambda lo, hi: _panel(f, lo._mpf_, hi._mpf_, nodes, prec)
-        return _adaptive(panel, a, b, mp.mpf(ctx.target_abs_err), ctx)
-
-
 def integrate_fixed(f: Callable, P: int, ctx: PrecisionContext) -> ErrBounded:
     """Adaptive panel quadrature over [0, 1] on P-bit fixed point.
 
-    ``f`` maps an int ``t`` to an int near ``F(t 2^-P) 2^P``.  Bisection
-    from [0, 1] gives dyadic panel ends, exact on P bits, and each panel
-    is :func:`_fixed_panel`, an exact integer sum with one floor; the
-    bisection is :func:`_adaptive`'s, to the absolute
-    ``ctx.target_abs_err``, and its estimates ``|fine - coarse|`` carry
-    no rounding of the sums.  A call costs ``24 + 48 * meta["panels"]``
-    evaluations of ``f``, and raises :class:`Unconverged` as
-    :func:`_adaptive` does.  ``value`` is the exact sum times 2^-P; ``err``
-    is the quadrature's radius only, and the caller adds the rounding
-    bound.  With ``f(t)`` within E of ``F(t 2^-P) 2^P``, |F| <= M and
-    |F'| <= L on [0, 1], the halves of the accepted panels have
-    half-widths h summing to 1/2, and there are at most
-    ``2 meta["panels"]`` of them, one floor each; so by
+    ``f`` maps an int ``t`` to an int near ``F(t 2^-P) 2^P``.  Panels are
+    bisected from [0, 2^P], so their ends are exact ints, and each is
+    :func:`_fixed_panel`, an exact integer sum with one floor.  Every panel
+    carries its rule's value; the rule on its two halves gives the panel's
+    estimate, and the distance between the two is its error estimate
+    (Gander and Gautschi, BIT 40 (2000)), with no rounding of the sums.  A
+    panel is accepted when that distance is within its width-proportional
+    share of the absolute ``ctx.target_abs_err``, or within four roundings
+    of the working precision (``round_eps``, two digits below it) of its
+    value: splitting cannot beat the roundoff of the caller's integrand,
+    and the distance still lands in the radius, with ``|fine| round_eps``.
+    Otherwise it is bisected, each half keeping its value.  A call costs
+    ``24 + 48 * meta["panels"]`` evaluations of ``f``, and raises
+    :class:`Unconverged` when the bisection depth or the panel budget is
+    exhausted.
+
+    ``value`` is the exact sum times 2^-P; ``err`` is the quadrature's
+    radius only, and the caller adds the rounding bound.  With ``f(t)``
+    within E of ``F(t 2^-P) 2^P``, |F| <= M and |F'| <= L on [0, 1], the
+    halves of the accepted panels have half-widths h summing to 1/2, and
+    there are at most ``2 meta["panels"]`` of them, one floor each; so by
     :func:`_fixed_panel` the value is within
 
         (E + 5L/4 + 6M + 1 + 2 meta["panels"]) 2^-P
@@ -361,55 +259,35 @@ def integrate_fixed(f: Callable, P: int, ctx: PrecisionContext) -> ErrBounded:
     """
     with ctx.workprec():
         nodes = gauss_legendre_fixed(_GL_ORDER, ctx.digits, P)
-        panel = lambda lo, hi: _fixed_panel(f, to_fixed(lo._mpf_, P), to_fixed(hi._mpf_, P), nodes, P)
-        res = _adaptive(panel, mp.mpf(0), mp.mpf(1), mp.ldexp(ctx.target_abs_err, P), ctx)
-        return ErrBounded(mp.ldexp(res.value, -P), mp.ldexp(res.err, -P), res.meta)
-
-
-def poly_exp_antiderivative(m: int, lam, u):
-    """Antiderivative P with P'(u) = u**m * exp(lam*u), lam != 0.
-
-    ``P(u) = exp(lam*u) * sum_{k=0..m} (-1)**k (m!/(m-k)!) u**(m-k) / lam**(k+1)``.
-    Evaluated at the caller's current mpmath precision; exact up to rounding.
-    """
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
-    lam = mp.mpf(lam)
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    u = mp.mpf(u)
-    acc = mp.mpf(0)
-    falling = mp.mpf(1)  # m!/(m-k)!
-    sign = 1
-    for k in range(m + 1):
-        acc += sign * falling * u ** (m - k) / lam ** (k + 1)
-        falling *= m - k
-        sign = -sign
-    return mp.e ** (lam * u) * acc
-
-
-def poly_exp_integral(m: int, lam, a, b):
-    """Definite integral of u**m * exp(lam*u) over [a, b].
-
-    ``a = -inf`` is allowed when lam > 0 and ``b = +inf`` when lam < 0 (the
-    antiderivative limit vanishes there).
-    """
-    lam = mp.mpf(lam)
-    if a == mp.inf or b == -mp.inf:
-        raise ValueError("reversed infinite endpoint")
-    if a == -mp.inf:
-        if lam <= 0:
-            raise ValueError("integral from -inf diverges unless lam > 0")
-        lo = mp.mpf(0)
-    else:
-        lo = poly_exp_antiderivative(m, lam, a)
-    if b == mp.inf:
-        if lam >= 0:
-            raise ValueError("integral to +inf diverges unless lam < 0")
-        hi = mp.mpf(0)
-    else:
-        hi = poly_exp_antiderivative(m, lam, b)
-    return hi - lo
+        half_target = mp.mpf(ctx.target_abs_err) / 2
+        round_eps = mp.mpf(10) ** (-ctx.digits + 2)
+        one = 1 << P
+        stack = [(0, one, 0, _fixed_panel(f, 0, one, nodes, P))]
+        value = 0
+        err = mp.mpf(0)
+        panels = 0
+        while stack:
+            lo, hi, depth, coarse = stack.pop()
+            panels += 1
+            if panels > _PANEL_BUDGET:
+                raise Unconverged("quadrature panel budget exhausted on [0, 1]")
+            mid = lo + hi >> 1
+            left = _fixed_panel(f, lo, mid, nodes, P)
+            right = _fixed_panel(f, mid, hi, nodes, P)
+            fine = left + right
+            e = abs(fine - coarse)
+            if e <= half_target * (hi - lo) or e <= abs(fine) * round_eps * 4:
+                value += fine
+                err += e + abs(fine) * round_eps
+            elif depth >= _MAX_DEPTH:
+                raise Unconverged(
+                    "quadrature did not converge at depth %d near [%s, %s]"
+                    % (depth, mp.ldexp(lo, -P), mp.ldexp(hi, -P))
+                )
+            else:
+                stack.append((lo, mid, depth + 1, left))
+                stack.append((mid, hi, depth + 1, right))
+        return ErrBounded(mp.ldexp(value, -P), mp.ldexp(err, -P), meta={"panels": panels})
 
 
 def odd_poly_eval(odd_coeffs: Sequence, u):

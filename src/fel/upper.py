@@ -20,11 +20,12 @@ Newton on the residual's closed-form first and second derivatives.  One
 working-precision kernel, the Abel form of :func:`fast_sup` on raw libmp
 values, gives the polished value and both derivatives; one table of the
 pieces holds each ``e^{pi T_n}`` once, for that kernel, the curvature bound,
-the mass constant of the tail and the float-range check.  :func:`residual`
-is the formula above on mpmath objects, the reference of the tests.
+the mass constant of the tail and the float-range check.  The tests hold
+that kernel to the formula above on mpmath objects (``residual`` in
+``tests/oracles.py``).
 
 The float form of the residual, :func:`residual_np`, is the numpy kernel
-behind the branch-and-bound grid, the local-maxima scan and the plots.  The
+behind the branch-and-bound grid and the plots.  The
 search's sup estimate :func:`fast_sup` evaluates the same residual in an
 Abel-summed form, one small complex matmul per stage.  These float kernels
 import numpy themselves, when they first run: :mod:`fel.tables` and the
@@ -68,12 +69,9 @@ from .precision import (
 
 __all__ = [
     "UpperParams",
-    "residual",
     "residual_np",
     "fast_sup",
     "sup_norm",
-    "certify_below",
-    "local_maxima",
     "curve_samples",
 ]
 
@@ -120,28 +118,6 @@ class UpperParams:
     @classmethod
     def from_json(cls, obj: dict) -> "UpperParams":
         return cls(penalty=Fraction(obj["A"]), knots=tuple(Decimal(t) for t in obj["T"]))
-
-
-def residual(up: UpperParams, t):
-    """The residual transform at real ``t`` (complex value), on mpmath objects.
-
-    The formula of the module docstring at the working precision, each
-    ``e^{(pi - 2 pi i t) T_n}`` computed once.  No certificate calls it: it
-    is the reference that the tests hold the working-precision kernel
-    :func:`_residual_slope` and the float kernels to.
-    """
-    t = mp.mpf(t)
-    z = mp.pi - 2j * mp.pi * t
-    d = 1 - 2j * t
-    val = 2 / d
-    ks = [mp.mpf(0)] + up.mp_knots()
-    e0 = mp.e ** (z * ks[0])
-    for n, cn in enumerate(up.coefficients()):
-        e1 = mp.e ** (z * ks[n + 1])
-        if cn != 0:
-            val -= 2 * cn * (e1 - e0) / d
-        e0 = e1
-    return val
 
 
 class _PieceTable(NamedTuple):
@@ -447,7 +423,8 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, target=None):
     split; the rest are discarded.  Returns (witness_t, witness_value,
     certified_sup_bound, finest_cell_width, midpoints_evaluated).  A given
     ``target`` also returns early once a sample exceeds it (used by the
-    below-threshold certifier).
+    tests' below-threshold certifier, ``certify_below`` in
+    ``tests/oracles.py``).
     """
     import numpy as np
 
@@ -544,80 +521,6 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
             "polish_evals": polish.meta["evals"],
         }
         return ErrBounded(value, err, meta)
-
-
-def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: PrecisionContext):
-    """Certify |residual(t)| < threshold for every t >= t_lo.
-
-    Returns ``(ok, meta)``; on failure the meta carries a witness t with
-    sample value >= threshold.  The scan window ends where the closed-form
-    majorant drops under the threshold.
-    """
-    with ctx.workprec():
-        _, L2, C = _piece_table(up)
-        t_hi = _tail_cut(C, mp.mpf(threshold) * (1 - mp.mpf("1e-9")))
-        meta = {"t_window": (float(t_lo), float(t_hi)), "curvature": float(L2)}
-        if t_hi <= t_lo:
-            return True, meta
-        margin = float(threshold) * 1e-6
-        try:
-            wt, wv, cert, _, _ = _branch_and_bound(
-                up, float(t_lo), float(t_hi), float(L2), margin,
-                target=float(threshold) - margin,
-            )
-        except Unconverged:
-            return False, {**meta, "reason": "refinement budget exhausted"}
-        meta["sup_bound"] = cert
-        meta["witness_t"] = wt
-        meta["witness_value"] = wv
-        ok = cert <= float(threshold) - margin and wv < float(threshold) - margin
-        return ok, meta
-
-
-def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContext, samples: int = 200_000):
-    """Refined local maxima of |residual| on [t_lo, t_hi].
-
-    Grid detection (strict interior maxima plus dominating endpoints)
-    followed by the full-precision polish of :func:`sup_norm` from each
-    candidate, within two grid steps of it.  Returns a list of
-    (t, value) pairs in increasing t.  ``t`` is the code's frequency; the
-    positions quoted by the acceptance criteria are ``t/pi``.  Knots that take
-    the float grid out of range raise ``ValueError``.
-    """
-    import numpy as np
-
-    with ctx.workprec():
-        abs_residual, slope = _modulus_and_slope(_piece_table(up)[0])
-        ts = np.linspace(t_lo, t_hi, samples + 1)
-        v = np.abs(residual_np(up.penalty, up.knots, ts))
-        step = (t_hi - t_lo) / samples
-        cand = []
-        if v[0] >= v[1]:
-            cand.append(0)
-        interior = np.where((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1
-        prev = -10.0
-        for i in interior:
-            if ts[i] - prev < 4 * step:
-                continue
-            cand.append(int(i))
-            prev = float(ts[i])
-        if v[-1] >= v[-2] and (not cand or ts[-1] - ts[cand[-1]] > 4 * step):
-            cand.append(samples)
-        out = []
-        for i in cand:
-            lo = max(t_lo, float(ts[i]) - 2 * step)
-            hi = min(t_hi, float(ts[i]) + 2 * step)
-            m = maximize_scalar(abs_residual, slope, float(ts[i]), lo, hi, ctx)
-            out.append((m.meta["argmax"], m.value))
-        out.sort(key=lambda p: p[0])
-        merged = []
-        for t, val in out:
-            if merged and abs(t - merged[-1][0]) < 10 * step:
-                if val > merged[-1][1]:
-                    merged[-1] = (t, val)
-                continue
-            merged.append((t, val))
-        return merged
 
 
 def curve_samples(up: UpperParams, t_lo: float, t_hi: float, samples: int):

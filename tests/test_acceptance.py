@@ -28,18 +28,21 @@ import pytest
 from conftest import record_criterion
 
 from fel import nt, tables
-from fel.closed_form import (
-    closed_lower_bound_first_branch,
-    implied_constant,
-    large_order_constant,
+from fel.closed_form import closed_lower_bound_first_branch, implied_constant, large_order_constant
+from fel.lower import INF, LowerParams, reward
+from fel.precision import PrecisionContext
+from fel.search import SearchConfig, optimize_upper
+from fel.upper import UpperParams, sup_norm
+from oracles import (
+    certify_below,
+    least_qnr,
+    local_maxima,
+    poly_exp_integral,
+    residual,
     tent_optimal,
     tent_reward,
     tent_reward_quadrature,
 )
-from fel.lower import INF, LowerParams, reward
-from fel.precision import PrecisionContext, integrate_finite, poly_exp_integral
-from fel.search import SearchConfig, optimize_upper
-from fel.upper import UpperParams, certify_below, local_maxima, residual, sup_norm
 
 PENALTIES = tables.PENALTIES
 
@@ -206,7 +209,7 @@ def test_criterion_5_endpoints_and_closed_forms(ctx40):
             worst_branch = max(worst_branch,
                                abs(float(closed - closed_lower_bound_first_branch(A, ctx40))))
             quad = tent_reward_quadrature(tp, ctx40)
-            worst_quad = max(worst_quad, abs(float(closed - quad.value)))
+            worst_quad = max(worst_quad, abs(float(closed - quad)))
     ok &= worst_branch < 1e-12 and worst_quad < 1e-10
     details.append("tent closed-form vs branch %.1e, vs quadrature %.1e" % (worst_branch, worst_quad))
     record_criterion("5 endpoints and tent closed forms", ok, "; ".join(details))
@@ -295,9 +298,8 @@ def test_criterion_7_property_suites(lower_ref, upper_ref, lower_results, upper_
         b = rng.uniform(a, 0)
         with ctx60.workprec():
             exact = poly_exp_integral(m, lam, a, b)
-        q = integrate_finite(lambda u: u**m * mp.e ** (mp.mpf(lam) * u), a, b, ctx60)
-        with ctx60.workprec():
-            worst = max(worst, abs(float(exact - q.value)))
+            q = mp.quad(lambda u: u**m * mp.e ** (mp.mpf(lam) * u), [a, b])
+            worst = max(worst, abs(float(exact - q)))
     ok &= worst < 1e-10
     details.append("oracle worst |d| = %.1e" % worst)
 
@@ -330,7 +332,7 @@ def test_criterion_8_number_theory():
             n = 2
             while pow(n, (p - 1) // 2, p) != p - 1:
                 n += 1
-            if n != nt.least_qnr(p):
+            if n != least_qnr(p):
                 oracle_ok = False
     ok &= oracle_ok
     details.append("euler oracle <1e4 %s (%.1fs)" % (oracle_ok, time.time() - t0))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -5,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fel import cli, lower, nt, tables
+import oracles
+from fel import cli, lower, nt, tables, upper
 from fel.lower import LowerParams
 from fel.precision import ErrBounded, Unconverged
 from fel.upper import UpperParams, residual_np
@@ -378,14 +381,8 @@ def test_a_must_agree_with_params(capsys, tmp_path, argv):
 
 
 def _spot_abs_residual(A, knots, t):
-    """|residual(t)| straight from the transform formula, apart from fel.upper."""
-    z, d = mp.pi - 2j * mp.pi * t, 1 - 2j * t
-    val = 2 / d
-    ks = [mp.mpf(0)] + [mp.mpf(k) for k in knots]
-    for n in range(len(knots)):
-        cn = A if n % 2 == 0 else -1
-        val -= 2 * cn * (mp.exp(z * ks[n + 1]) - mp.exp(z * ks[n])) / d
-    return abs(val)
+    """|residual(t)| from the mpmath reference, apart from the certificate's kernels."""
+    return abs(oracles.residual(UpperParams(penalty=A, knots=tuple(knots)), t))
 
 
 @settings(max_examples=20, deadline=None)
@@ -542,7 +539,7 @@ def test_nt_prime_qr_default_floor(capsys):
     assert code == 0
     assert float(json.loads(out)["margin"]) > 0
     with mp.workdps(30):
-        assert nt.least_prime_qr(163) / mp.log(163) ** 2 > nt.COMPARATORS["prime-qr"]
+        assert oracles.least_prime_qr(163) / mp.log(163) ** 2 > nt.COMPARATORS["prime-qr"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -688,7 +685,7 @@ def test_closed_stdout_ends_quietly(argv):
 
 def test_reproduce_bounds_script_runs():
     # the headline-table script: one row per shipped penalty, and its own
-    # lower <= upper and unit-L1 asserts hold (else it exits non-zero)
+    # lower <= upper and unit-L1 checks hold (else it exits non-zero)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = os.path.join(os.path.dirname(src), "scripts", "reproduce_bounds.py")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -699,9 +696,43 @@ def test_reproduce_bounds_script_runs():
     assert [w for w in firsts if w in tables.PENALTIES] == list(tables.PENALTIES)
 
 
+def test_reproduce_bounds_script_exits_on_a_broken_sandwich(monkeypatch):
+    # an upper end below the lower one ends the script non-zero, by an
+    # explicit check that python -O keeps
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__))),
+                          "scripts", "reproduce_bounds.py")
+    monkeypatch.setattr(upper, "sup_norm", lambda up, ctx: ErrBounded(mp.mpf(1), mp.mpf(0)))
+    monkeypatch.setattr(sys, "argv", [script, "--digits", "30"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    assert exc.value.code not in (0, None)
+    assert "exceeds the upper end" in str(exc.value.code)
+
+
+def _code_references(tree, name, own):
+    """The Name and Attribute nodes of ``tree`` that refer to ``name``; in
+    ``own``, the module that defines it, those inside its definition do not
+    count."""
+    skip = {id(n) for d in tree.body
+            if own and isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == name
+            for n in ast.walk(d)}
+    return [n for n in ast.walk(tree) if id(n) not in skip
+            and (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)]
+
+
 def test_all_lists_each_public_name():
-    # every exported name exists, and every public function and class a
-    # module defines is exported
+    # every exported name exists, every public function and class a module
+    # defines is exported, and every exported function and class is used by
+    # code in src/fel or scripts/ outside its own definition (docstring
+    # mentions do not count): what only the tests use lives in tests/oracles.py
+    pkg = os.path.dirname(cli.__file__)
+    scripts = os.path.join(os.path.dirname(os.path.dirname(pkg)), "scripts")
+    trees = {}
+    for d in (pkg, scripts):
+        for f in sorted(os.listdir(d)):
+            if f.endswith(".py"):
+                with open(os.path.join(d, f)) as fh:
+                    trees[os.path.join(d, f)] = ast.parse(fh.read())
     for name in ("precision", "lower", "upper", "closed_form", "nt", "search", "tables"):
         mod = importlib.import_module("fel." + name)
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], name
@@ -709,3 +740,8 @@ def test_all_lists_each_public_name():
                    if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
                    and v.__module__ == mod.__name__}
         assert sorted(defined - set(mod.__all__)) == [], name
+        home = os.path.join(pkg, name + ".py")
+        unused = [n for n in mod.__all__
+                  if (inspect.isfunction(getattr(mod, n)) or inspect.isclass(getattr(mod, n)))
+                  and not any(_code_references(tree, n, path == home) for path, tree in trees.items())]
+        assert unused == [], name

@@ -16,17 +16,14 @@ from fel.lower import (
     NotInClassError,
     curve_samples,
     l1_norm,
-    modulus,
     reward,
-    spectrum,
 )
 from fel.precision import (
     PrecisionContext,
-    integrate_finite,
     isolate_sign_changes,
     odd_poly_eval,
-    poly_exp_integral,
 )
+from oracles import modulus, poly_exp_integral, spectrum
 
 CANON = LowerParams(a="1", c="0", b=("-2",))
 
@@ -104,11 +101,10 @@ def test_modulus_matches_inverse_transform(ctx30, reference):
             t_hi = float(c / mp.pi)
         for _ in range(2):
             x = mp.mpf(repr(rng.uniform(-3, 3)))
-            inv = integrate_finite(
-                lambda t: spectrum(p, t) * mp.e ** (2j * mp.pi * x * t), t_lo, t_hi, ctx30
-            )
             with ctx30.workprec():
-                assert abs(abs(inv.value) - modulus(p, x)) < 1e-10
+                inv = mp.quad(lambda t: spectrum(p, t) * mp.e ** (2j * mp.pi * x * t), [t_lo, t_hi],
+                              method="gauss-legendre")
+                assert abs(abs(inv) - modulus(p, x)) < 1e-10
 
 
 def test_l1_norm_canonical(ctx40):
@@ -277,7 +273,7 @@ def test_sign_intervals_match_midpoint_signs_random(ctx40, p):
 
 def _check_masses(p, digits):
     # head, pos_mass and neg_mass from the antiderivative polynomial against
-    # the sum of closed-form monomial integrals (precision.poly_exp_integral)
+    # the sum of closed-form monomial integrals (oracles.poly_exp_integral)
     # at twice the digits, on the same edges and with midpoint signs: within
     # the reward's round_eps times the magnitudes of both sums' terms
     ctx = PrecisionContext.make(digits)
@@ -428,18 +424,21 @@ def test_reward_monotone_in_penalty(ctx40):
 
 
 def test_reward_exact_vs_quadrature(ctx40, reference):
-    # the closed-form numerator integrals match direct quadrature
+    # the closed-form numerator integrals match direct quadrature, split on
+    # (0, c/pi) where the profile changes sign: at the real roots v = u^2 > 0
+    # of its odd polynomial u q(u^2), u = (pi t - c)/a, found by mp.polyroots
     _, p = reference["1"]
     r = reward(p, "1", ctx40)
-    with ctx40.workprec():
-        c = mp.mpf(str(p.c))
-        hi = c / mp.pi
-    neg = integrate_finite(lambda t: spectrum(p, t) * mp.e ** (mp.pi * t), -30, 0, ctx40)
-    plus = integrate_finite(lambda t: max(spectrum(p, t), mp.mpf(0)) * mp.e ** (mp.pi * t), 0, hi, ctx40)
-    minus = integrate_finite(lambda t: max(-spectrum(p, t), mp.mpf(0)) * mp.e ** (mp.pi * t), 0, hi, ctx40)
     l1 = l1_norm(p, ctx40)
     with ctx40.workprec():
-        approx = 2 * mp.pi * (neg.value - minus.value - plus.value) / l1.value
+        a, c, bs = p.mp_values()
+        roots = mp.polyroots(lower._odd_coeffs(bs)[::-1], maxsteps=200, extraprec=200)
+        cuts = sorted((c - a * mp.sqrt(v.real)) / mp.pi for v in roots if v.imag == 0 and v.real > 0)
+        edges = [0] + [t for t in cuts if 0 < t < c / mp.pi] + [c / mp.pi]
+        neg = mp.quad(lambda t: spectrum(p, t) * mp.e ** (mp.pi * t), [-30, 0])
+        plus = mp.quad(lambda t: max(spectrum(p, t), 0) * mp.e ** (mp.pi * t), edges)
+        minus = mp.quad(lambda t: max(-spectrum(p, t), 0) * mp.e ** (mp.pi * t), edges)
+        approx = 2 * mp.pi * (neg - minus - plus) / l1.value
         assert abs(approx - r.value) < 1e-12
 
 
