@@ -7,7 +7,11 @@ the direction set, seeded random kicks on stalls -- after Brent).  The upper
 family minimizes the sup-norm over the knot vector through a positive-gap
 parametrization with Nelder-Mead locals, iterating the knot count: start at
 one knot, perturb the incumbent to seed the next count, stop when two
-consecutive counts fail to improve meaningfully.
+consecutive counts fail to improve meaningfully.  The Nelder-Mead is
+scipy's, ported as a generator (:func:`_nelder_mead`), so that the locals
+of one count run in lockstep and share one batched sup estimate per round;
+they reproduce the sequential scipy loop bit for bit, and no command
+imports scipy.
 
 Searches run on fast float evaluators.  The upper one is
 :func:`fel.upper.fast_sup`, the Abel-summed float residual.  The lower one
@@ -388,18 +392,189 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
     return params, certified
 
 
-def _nm_local(fun, x0, budget):
-    # imported here: scipy.optimize costs about 0.3-0.45 s and 45 MB, and only the upper search needs it
-    from scipy.optimize import minimize
+_LOCAL_EVALS = 4000  # evaluation cap of one Nelder-Mead local
+_SPECULATION = 3  # a running local is expected to end past this many times its evaluations so far
 
-    res = minimize(fun, x0, method="Nelder-Mead",
-                   options={"maxfev": budget, "xatol": 1e-9, "fatol": 1e-10})
-    return res.x, float(res.fun)
+
+def _nelder_mead(x0, maxfun):
+    """scipy's Nelder-Mead (``adaptive=False``, no bounds) as a generator.
+
+    Statement for statement ``scipy.optimize._optimize._minimize_neldermead``
+    at ``maxfev=maxfun``, ``xatol=1e-9`` and ``fatol=1e-10`` (no
+    ``maxiter``): the same initial simplex, coefficients, branch order,
+    ``np.argsort`` on the values and stopping test, so it visits the same
+    points and returns the same floats.  It yields each point to
+    evaluate and takes its value by ``send``; the call past ``maxfun``
+    raises :class:`_BudgetExhausted` inside it, where scipy raises its
+    ``_MaxFuncCallError``.  Returns ``(x, fun, evaluations)``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol = 1e-9, 1e-10
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    one2np1 = list(range(1, N + 1))
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fcalls = [0]
+
+    def func(x):
+        if fcalls[0] >= maxfun:
+            raise _BudgetExhausted
+        fcalls[0] += 1
+        return (yield x)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = yield from func(sim[k])
+    except _BudgetExhausted:
+        pass
+    finally:
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    while fcalls[0] < maxfun:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = yield from func(xr)
+            doshrink = 0
+
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield from func(xe)
+
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            else:  # fsim[0] <= fxr
+                if fxr < fsim[-2]:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+                else:  # fxr >= fsim[-2]
+                    if fxr < fsim[-1]:  # outside contraction
+                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                        fxc = yield from func(xc)
+
+                        if fxc <= fxr:
+                            sim[-1] = xc
+                            fsim[-1] = fxc
+                        else:
+                            doshrink = 1
+                    else:  # inside contraction
+                        xcc = (1 - psi) * xbar + psi * sim[-1]
+                        fxcc = yield from func(xcc)
+
+                        if fxcc < fsim[-1]:
+                            sim[-1] = xcc
+                            fsim[-1] = fxcc
+                        else:
+                            doshrink = 1
+
+                    if doshrink:
+                        for j in one2np1:
+                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                            fsim[j] = yield from func(sim[j])
+        except _BudgetExhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], float(np.min(fsim)), fcalls[0]
+
+
+def _locals_in_lockstep(A, seeds, evals_left):
+    """The Nelder-Mead locals of one knot count, as the sequential loop runs them.
+
+    The sequential loop gives seed ``j`` the budget ``min(4000, evals_left -
+    evaluations of seeds < j)`` and stops at the first seed with none left.
+    Here the locals run at once, and each round evaluates their pending
+    points with one batched :func:`fel.upper.fast_sup` call.  A local stops
+    once it is past the largest budget it can still get, computed from
+    what the earlier locals have used so far, which only grows.  It waits
+    a round while it would be past it if each earlier local still running
+    used ``_SPECULATION`` times its evaluations so far: when the budget
+    runs out in a count, that keeps the later locals from evaluating points
+    no budget pays for.  The first local still running never waits.  Once
+    all have stopped, the budgets are settled in seed order, and a local
+    that ran past its own is replayed from its recorded values, with no
+    new evaluations.  Returns the ``(y, value)`` of the locals the
+    sequential loop runs, in seed order, and the evaluations they used.
+    """
+    cap = min(evals_left, _LOCAL_EVALS)
+    runs = [_nelder_mead(s, cap) for s in seeds]
+    values = [[] for _ in seeds]
+    done = [None] * len(seeds)
+    pending = {j: next(run) for j, run in enumerate(runs)}  # cap >= 1: each asks for a point
+    while pending:
+        batch, spent, likely = [], 0, 0
+        for j in range(len(seeds)):
+            c = len(values[j])
+            if j in pending:
+                if c >= min(cap, evals_left - spent):
+                    del pending[j]  # past any budget it can still get: replayed below
+                    runs[j].close()
+                elif c < evals_left - likely:
+                    batch.append(j)
+            spent += c
+            likely += min(_SPECULATION * c, cap) if j in pending else c
+        if not batch:
+            break
+        fs = upper.fast_sup(A, _knots_of_gaps(np.array([pending[j] for j in batch])))
+        for j, f in zip(batch, fs):
+            values[j].append(f)
+            try:
+                pending[j] = runs[j].send(f)
+            except StopIteration as stop:
+                del pending[j]
+                done[j] = stop.value
+    found, used = [], 0
+    for j, s in enumerate(seeds):
+        budget = min(evals_left - used, _LOCAL_EVALS)
+        if budget <= 0:
+            break
+        if done[j] is None or done[j][2] > budget:
+            done[j] = _replay(_nelder_mead(s, budget), values[j])
+        found.append(done[j][:2])
+        used += done[j][2]
+    return found, used
+
+
+def _replay(run, values):
+    """Drive a Nelder-Mead generator on recorded values; its return value."""
+    try:
+        next(run)
+        for f in values:
+            run.send(f)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the recorded values ran out")
 
 
 def _knots_of_gaps(y):
-    """Knots from log-gaps clamped to [-18, 3], as ``np.clip`` would, NaN included."""
-    return np.cumsum(np.exp(np.minimum(np.maximum(y, -18.0), 3.0)))
+    """Knots from log-gaps clamped to [-18, 3], as ``np.clip`` would, NaN included; one set per row."""
+    return np.cumsum(np.exp(np.minimum(np.maximum(y, -18.0), 3.0)), axis=-1)
 
 
 def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = None,
@@ -407,7 +582,9 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     """Minimize the sup-norm over knot vectors, growing the knot count.
 
     Per count: Nelder-Mead locals from seeded perturbations of the incumbent
-    (positive gaps keep the ordering); the count loop stops after two
+    (positive gaps keep the ordering), run in lockstep by
+    :func:`_locals_in_lockstep` with the budgets of a sequential loop over
+    the seeds, at most 4000 evaluations each; the count loop stops after two
     consecutive counts improve by less than 1e-5, or at ``cfg.n_max``.  A
     seed ``knots0`` starts the count loop at its length; it must be 1 to
     ``cfg.n_max`` increasing, positive, finite knots, or ValueError.
@@ -419,7 +596,7 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     A = float(empty.penalty)
     rng = np.random.default_rng(cfg.seed)
     log = _Transcript(transcript_path)
-    evals_left = [cfg.budget]
+    evals_left = cfg.budget
 
     if knots0 is not None:
         knots0 = np.asarray(knots0, dtype=float)
@@ -427,12 +604,6 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
                 and knots0[0] > 0 and (knots0[1:] > knots0[:-1]).all()):
             raise ValueError("knots0 must be 1 to n_max = %d increasing, positive, finite knots"
                              % cfg.n_max)
-
-    def sup_of_gaps(y):
-        if evals_left[0] <= 0:
-            return 1e9
-        evals_left[0] -= 1
-        return upper.fast_sup(A, _knots_of_gaps(y))
 
     if A == 0.0:
         return empty, upper.sup_norm(empty, ctx)
@@ -464,16 +635,15 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
             else:
                 seeds.append(np.log(np.abs(rng.normal(0.0, 0.1, size=n)) + 1e-4))
         round_best_y, round_best_v = None, math.inf
-        for s in seeds:
-            if evals_left[0] <= 0:
-                break
-            y, v = _nm_local(sup_of_gaps, s, min(evals_left[0], 4000))
+        found, used = _locals_in_lockstep(A, seeds, evals_left)
+        evals_left -= used
+        for y, v in found:
             if v < round_best_v:
                 round_best_y, round_best_v = y, v
         if round_best_y is not None and round_best_v < best_v:
             best_y, best_v = round_best_y, round_best_v
             incumbent = round_best_y
-            log.record(kind="upper", n=n, value=best_v, evals_used=cfg.budget - evals_left[0])
+            log.record(kind="upper", n=n, value=best_v, evals_used=cfg.budget - evals_left)
         improvement = prev_best - best_v
         if improvement < _IMPROVE_TOL:
             weak_rounds += 1
@@ -482,7 +652,7 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
         else:
             weak_rounds = 0
         prev_best = best_v
-        if evals_left[0] <= 0:
+        if evals_left <= 0:
             break
 
     if best_y is None:

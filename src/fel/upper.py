@@ -270,7 +270,7 @@ def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
     return (val, der) if deriv else val
 
 
-def fast_sup(A: float, knots: np.ndarray) -> float:
+def fast_sup(A: float, knots: np.ndarray) -> float | list[float]:
     """Float estimate of the sup-norm for the upper family (search mode).
 
     Coarse scan over a window truncated at t <= 15, then a refinement of the
@@ -279,6 +279,10 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     search is re-certified by :func:`sup_norm` over the full window.  Knot
     vectors that are not increasing and positive, or that end past 30, and
     those whose values leave the float range, get 1e9.
+
+    ``knots`` is one vector ``(n,)``, which gives a float, or ``K`` vectors
+    of one count as rows ``(K, n)``, which give a list of ``K`` floats, each
+    equal to its own single call: a single call is the case ``K = 1``.
 
     Abel summation of the residual's piece sum gives
 
@@ -289,44 +293,75 @@ def fast_sup(A: float, knots: np.ndarray) -> float:
     only and come from the cached piece table :func:`_pieces`.  Each stage
     lays its points out as rows and columns, ``t = lo_r + j delta``, so
     ``e^{-i theta t}`` factors into a row and a column exponential and the
-    sum over knots is one small complex matmul (:func:`_stage`).
+    sum over knots is one small complex matmul per candidate (:func:`_stage`).
     ``|residual|`` is even in ``t``, so the local stages may reach below 0.
 
     A search makes some 10^4 calls at 1-4 knots, where numpy's per-call
     dispatch, not arithmetic, sets the cost: so a call runs only the ufuncs
     the formula needs, on cached index arrays and in place, in an order
-    that fixes every rounding.  The tests pin its floats with ``==``.
+    that fixes every rounding, and a batch pays that dispatch once for all
+    its rows.  What a reduction would round differently across rows stays
+    per candidate: the mass dot ``|c| . pairs`` and the window's
+    ``(C / thr) ** 2``.  The coarse grids of a batch have one length, the
+    longest; the others are padded and their padding masked to -inf.  The
+    tests pin the floats with ``==``, batched and single.
     """
     import numpy as np
 
-    n = knots.size
-    if n and ((knots[1:] <= knots[:-1]).any() or knots[0] <= 0 or knots[-1] > 30):
-        return 1e9
+    knots = np.asarray(knots, dtype=float)
+    rows = knots if knots.ndim == 2 else knots[None]
+    out = [1e9] * len(rows)
     with np.errstate(all="ignore"):
-        dc2, cabs, d0 = _pieces(A, n)
-        ep = np.exp(np.pi * knots)
-        weights = dc2 * ep
-        freq = -2j * np.pi * knots  # -i theta_m
-        g0 = abs(d0 + weights.sum())
-        pairs = ep.copy()  # e^{pi T_m} + e^{pi T_{m-1}}, with e^0 = 1 before the first
-        pairs[1:] += ep[:-1]
-        pairs[:1] += 1.0
-        C = 2.0 + 2.0 * float(cabs @ pairs)
+        _estimate(A, rows, out)
+    return out if knots.ndim == 2 else out[0]
+
+
+def _estimate(A, rows, out):
+    """The three stages of :func:`fast_sup`: ``out[i]`` gets row ``i``'s estimate, if it has one."""
+    import numpy as np
+
+    n = rows.shape[1]
+    dc2, cabs, d0 = _pieces(A, n)
+    ep = np.exp(np.pi * rows)
+    weights = dc2 * ep
+    freq = -2j * np.pi * rows  # -i theta_m
+    g0s = abs(d0 + weights.sum(1))
+    pairs = ep.copy()  # e^{pi T_m} + e^{pi T_{m-1}}, with e^0 = 1 before the first
+    pairs[:, 1:] += ep[:, :-1]
+    pairs[:, :1] += 1.0
+    keep, ms, steps = [], [], []
+    for i, (ks, g0) in enumerate(zip(rows.tolist(), g0s)):
+        if n and (ks[0] <= 0 or ks[-1] > 30 or any(b <= a for a, b in zip(ks, ks[1:]))):
+            continue
+        C = 2.0 + 2.0 * float(cabs @ pairs[i])
         if not (math.isfinite(g0) and math.isfinite(C)):
-            return 1e9
+            continue
         thr = max(g0 * 0.98, 1e-6)
         t_max = min(math.sqrt(max((C / thr) ** 2 - 1.0, 0.0)) / 2.0 + 0.25, 15.0)
         m = max(int(t_max / 8e-3), 200) + 1  # coarse step about 8e-3
-        step = t_max / (m - 1)
-        ts, v = _stage(d0, weights, freq, step * 64 * _columns(-(-m // 64)), step, 64)
-        ts, v = ts.ravel()[:m], v.ravel()[:m]
-        # one row per peak, unordered: every stage takes a max over all its rows
-        c = ts[v.argpartition(-10)[-10:]]
-        fine, fv = _stage(d0, weights, freq, c - step, step / 20, 41)
-        c = fine[_columns(10, int), fv.argmax(1)]
-        _, tv = _stage(d0, weights, freq, c - step / 20, step / 200, 21)
-        best = float(np.maximum(np.maximum(v.max(), fv.max()), tv.max()))  # NaN propagates
-    return best if math.isfinite(best) else 1e9
+        keep.append(i)
+        ms.append(m)
+        steps.append(t_max / (m - 1))
+    if not keep:
+        return
+    if len(keep) < len(rows):
+        weights, freq = weights[keep], freq[keep]
+    step = np.array(steps)
+    width = -(-max(ms) // 64)
+    ts, v = _stage(d0, weights, freq, (step * 64)[:, None] * _columns(width), step, 64)
+    ts, v = ts.reshape(len(keep), -1), v.reshape(len(keep), -1)
+    for r, m in enumerate(ms):
+        v[r, m:] = -np.inf  # past this row's own grid
+    at = _columns(len(keep), int)[:, None]
+    # one row per peak, unordered: every stage takes a max over all its rows
+    c = ts[at, v.argpartition(-10)[:, -10:]]
+    fine, fv = _stage(d0, weights, freq, c - step[:, None], step / 20, 41)
+    c = fine[at, _columns(10, int), fv.argmax(2)]
+    _, tv = _stage(d0, weights, freq, c - (step / 20)[:, None], step / 200, 21)
+    best = np.maximum(np.maximum(v.max(1), fv.max((1, 2))), tv.max((1, 2)))  # NaN propagates
+    for i, b in zip(keep, best.tolist()):
+        if math.isfinite(b):
+            out[i] = b
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,24 +389,25 @@ def _columns(k: int, dtype=float):
 
 
 def _stage(d0, weights, freq, lo, delta, cols: int):
-    """(t, |residual(t)|) at ``t = lo[r] + j delta``, ``j < cols``: one row per ``lo``.
+    """(t, |residual(t)|) at ``t = lo[k, r] + j delta[k]``, ``j < cols``: one row per ``lo``.
 
-    ``weights`` are the ``d_m e^{pi T_m}`` and ``freq`` the ``-i theta_m`` of
-    :func:`fast_sup`.  The arithmetic runs in place on the stage's own
+    Candidate ``k`` of a batch has its own ``weights[k]`` (the ``d_m e^{pi T_m}``
+    of :func:`fast_sup`), ``freq[k]`` (the ``-i theta_m``), rows ``lo[k]`` and
+    step ``delta[k]``.  The arithmetic runs in place on the stage's own
     arrays, as ``d0 + E_row @ (w E_col)`` and ``|num| / sqrt(1 + (4 t) t)``
-    in that order of operations.
+    in that order of operations, one matmul per candidate.
     """
     import numpy as np
 
-    offs = delta * _columns(cols)
-    row_exp = lo[:, None] * freq
+    offs = delta[:, None] * _columns(cols)
+    row_exp = lo[:, :, None] * freq[:, None]
     np.exp(row_exp, out=row_exp)
-    col_exp = freq[:, None] * offs
+    col_exp = freq[:, :, None] * offs[:, None]
     np.exp(col_exp, out=col_exp)
-    col_exp *= weights[:, None]
+    col_exp *= weights[:, :, None]
     num = row_exp @ col_exp
     num += d0
-    t = lo[:, None] + offs
+    t = lo[:, :, None] + offs[:, None]
     den = 4.0 * t
     den *= t
     den += 1.0

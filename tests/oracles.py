@@ -4,9 +4,10 @@ Each is the plain formula on mpmath objects (or a scalar front end) that a
 production kernel of ``fel`` is held to, or that a published criterion is
 checked with: closed-form integrals of ``u^m e^(lam u)``, the tent profile
 of :mod:`fel.closed_form`, the lower family's profile and modulus, the upper
-family's residual with its local maxima and below-threshold certifier, and
-the scalar number-theory front ends with their Miller-Rabin check.  No
-command of ``fel`` calls them.
+family's residual with its local maxima and below-threshold certifier, the
+upper search's Nelder-Mead locals run one after another by scipy, and the
+scalar number-theory front ends with their Miller-Rabin check.  No command
+of ``fel`` calls them.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,9 @@ from fel.closed_form import _CTX30, _check_open_unit
 from fel.lower import LowerParams, _odd_coeffs, _profile
 from fel.nt import _least_prime_with_symbol
 from fel.precision import PrecisionContext, Unconverged, maximize_scalar
-from fel.upper import UpperParams, _branch_and_bound, _modulus_and_slope, _piece_table, _tail_cut, residual_np
+from fel.search import _knots_of_gaps
+from fel.upper import (UpperParams, _branch_and_bound, _modulus_and_slope, _piece_table, _tail_cut, fast_sup,
+                       residual_np)
 
 
 # closed-form integrals (fel.precision)
@@ -276,6 +279,35 @@ def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContex
                 continue
             merged.append((t, val))
         return merged
+
+
+# the upper search (fel.search)
+
+
+def locals_in_sequence(A, seeds, evals_left):
+    """Drop-in for ``fel.search._locals_in_lockstep``: the sequential scipy loop.
+
+    Each seed in turn gets ``scipy.optimize.minimize(method="Nelder-Mead")``
+    with ``maxfev = min(4000, evals left)``, until none are left; every
+    evaluation is one single :func:`fel.upper.fast_sup` call.  This is how
+    the upper search ran its locals before they ran in lockstep.
+    """
+    from scipy.optimize import minimize
+
+    left = [evals_left]
+
+    def sup_of_gaps(y):
+        left[0] -= 1
+        return fast_sup(A, _knots_of_gaps(y))
+
+    found = []
+    for s in seeds:
+        if left[0] <= 0:
+            break
+        res = minimize(sup_of_gaps, s, method="Nelder-Mead",
+                       options={"maxfev": min(left[0], 4000), "xatol": 1e-9, "fatol": 1e-10})
+        found.append((res.x, float(res.fun)))
+    return found, evals_left - left[0]
 
 
 # scalar number theory (fel.nt)

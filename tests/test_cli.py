@@ -644,8 +644,8 @@ def test_search_upper_overflowing_penalty(capsys):
 
 def test_commands_load_numpy_and_scipy_only_when_they_use_them():
     # numpy is imported by the float kernels (the upper grid, the searches,
-    # the sieves) and scipy.optimize by the upper search's Nelder-Mead alone;
-    # this process has both already (conftest imports fel.search), so ask a
+    # the sieves), and scipy by no command, the searches included; this
+    # process has numpy already (conftest imports fel.search), so ask a
     # fresh one
     code = (
         "import contextlib, io, sys\n"
@@ -660,9 +660,14 @@ def test_commands_load_numpy_and_scipy_only_when_they_use_them():
         "for argv in (['upper-eval', '--A', '1'], ['nt', '--kind', 'qnr', '--max-p', '2000']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "import fel.search\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
+        "for argv in (['search', '--problem', 'upper', '--A', '1', '--budget', '300'],\n"
+        "             ['search', '--problem', 'lower', '--A', '1', '--N', '2', '--restarts', '1',\n"
+        "              '--budget', '200']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=600)

@@ -7,16 +7,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fel import lower, tables, upper
+from fel import lower, search, tables, upper
 from fel.search import (
     SearchConfig,
     _fast_l1_norm,
     _fast_lower_value,
+    _knots_of_gaps,
+    _nelder_mead,
     optimize_lower,
     optimize_upper,
     praxis_minimize,
 )
 from fel.upper import fast_sup, residual_np
+from oracles import locals_in_sequence
 
 
 def fast_sup_oracle(A, knots):
@@ -353,6 +356,94 @@ def test_optimize_upper_pinned_transcript(ctx40, tmp_path):
     ]
 
 
+def _nm_points(fun, x0, maxfun):
+    # _nelder_mead driven to its end: (x, fun, evaluations) and the points it asked for
+    run, points = _nelder_mead(x0, maxfun), []
+    try:
+        x = next(run)
+        while True:
+            points.append(x.tolist())
+            x = run.send(fun(x))
+    except StopIteration as stop:
+        x, f, nfev = stop.value
+        return (x.tolist(), f, nfev), points
+
+
+def _scipy_points(fun, x0, maxfun):
+    # the same from scipy's Nelder-Mead, at the upper search's tolerances
+    from scipy.optimize import minimize
+
+    points = []
+
+    def f(x):
+        points.append(x.tolist())
+        return fun(x)
+
+    res = minimize(f, x0, method="Nelder-Mead", options={"maxfev": maxfun, "xatol": 1e-9, "fatol": 1e-10})
+    return (res.x.tolist(), float(res.fun), res.nfev), points
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nelder_mead_equals_scipy_on_fast_sup(n):
+    # the generator visits scipy's points and returns its x and fun, bit for
+    # bit, whether the budget cuts inside the initial simplex, mid-run or
+    # never; fast_sup over log-gaps, from a cold-start seed
+    rng = np.random.default_rng(n + 2)
+    x0 = np.log(np.abs(rng.normal(0.0, 0.1, size=n)) + 1e-4)
+    fun = lambda y: fast_sup(1.0, _knots_of_gaps(y))
+    (_, _, total), _ = _nm_points(fun, x0, 4000)
+    assert total < 4000
+    for budget in sorted({1, n, n + 1, n + 2, 25, total - 1, 4000}):
+        assert _nm_points(fun, x0, budget) == _scipy_points(fun, x0, budget), budget
+
+
+@pytest.mark.parametrize("fun, x0", [
+    # tied values: the simplex starts on the plateau, and every step shrinks
+    (lambda y: max(0.0, float(y @ y) - 1.0), [0.1, 0.2]),
+    # tied values off the plateau too: a staircase
+    (lambda y: float(np.floor(4.0 * float(y @ y))), [1.0, -0.5, 0.25]),
+    # far from the minimum, from zeros: expansions, then contractions
+    (lambda y: float(((y - 3.0) ** 2).sum()), [0.0, 0.0]),
+])
+def test_nelder_mead_equals_scipy_at_every_budget(fun, x0):
+    # the budget cuts at every evaluation in turn: inside the initial
+    # simplex, a reflection, an expansion, a contraction or a shrink
+    (_, _, total), _ = _nm_points(fun, x0, 4000)
+    assert 10 < total < 4000
+    for budget in range(1, total + 2):
+        assert _nm_points(fun, x0, budget) == _scipy_points(fun, x0, budget), budget
+
+
+def test_optimize_upper_lockstep_equals_sequential(ctx30, tmp_path, monkeypatch):
+    # the locals of a count in lockstep, settled in seed order, write the
+    # transcript of the sequential scipy loop, also when the budget runs
+    # out in the middle of a count or of a local; some locals ran past
+    # their settled budgets and were replayed
+    real, replays = search._replay, []
+    monkeypatch.setattr(search, "_replay", lambda run, values: replays.append(1) or real(run, values))
+    for seed in (0, 9):
+        for budget in (1, 2, 50, 700, 3000):
+            cfg = SearchConfig(seed=seed, n_max=3, restarts=4, budget=budget)
+            got, want = tmp_path / ("got%d_%d" % (seed, budget)), tmp_path / ("want%d_%d" % (seed, budget))
+            optimize_upper("1", cfg, ctx30, transcript_path=str(got))
+            with monkeypatch.context() as m:
+                m.setattr(search, "_locals_in_lockstep", locals_in_sequence)
+                optimize_upper("1", cfg, ctx30, transcript_path=str(want))
+            assert got.read_text() == want.read_text(), (seed, budget)
+    assert replays
+
+
+def test_lockstep_replays_a_local_that_ended_past_its_budget():
+    # local 0 runs to its 4000 cap, local 1 ends after 723 evaluations
+    # while local 0 is still young; the sequential loop leaves local 1
+    # only 300, so its finished run is replayed on its first 300 values
+    seeds = [np.log(np.abs(np.random.default_rng(s).normal(0.0, 0.1, size=4)) + 1e-4) for s in (4, 6)]
+    got, used = search._locals_in_lockstep(1.0, seeds, 4300)
+    want, want_used = locals_in_sequence(1.0, seeds, 4300)
+    assert used == want_used == 4300
+    assert [(y.tolist(), v) for y, v in got] == [(y.tolist(), v) for y, v in want]
+
+
 def test_fast_sup_pinned_references():
     # the float sup estimate on the shipped knot sets, exact to the last bit
     pinned = {"1/4": 1.3350878861965594, "1/3": 1.2878033230802322,
@@ -408,19 +499,46 @@ def test_fast_sup_invalid_knots():
 @pytest.mark.parametrize("stage", [0, 1, 2])
 def test_fast_sup_nan_in_any_stage(monkeypatch, stage):
     # a NaN in the coarse, fine or tiny stage makes the estimate 1e9: the
-    # final max propagates NaN whichever stage it comes from
+    # final max propagates NaN whichever stage it comes from; in a batch,
+    # only for the candidate it is in
+    rows = np.array([[0.1, 0.3], [0.15, 0.21], [0.2, 0.25]])
+    want = fast_sup(1.0, rows)
     real, calls = upper._stage, []
 
     def poisoned(*args):
         t, v = real(*args)
-        if len(calls) == stage:
-            v[0, 0] = math.nan
+        if len(calls) % 3 == stage:
+            v[len(v) // 2, 0] = math.nan  # the middle candidate, or the only one
         calls.append(stage)
         return t, v
 
     monkeypatch.setattr(upper, "_stage", poisoned)
     assert fast_sup(1.0, np.array([0.15, 0.21])) == 1e9
     assert len(calls) == 3
+    assert fast_sup(1.0, rows) == [want[0], 1e9, want[2]]
+    assert len(calls) == 6 and 1e9 not in want
+
+
+def test_fast_sup_batch_equals_single():
+    # each row of a batched call is its single call, bit for bit: the
+    # random sets stacked by (penalty, count), their coarse grids of many
+    # lengths padded to the longest
+    groups = {}
+    for A, knots in random_knot_sets(16, 250):
+        groups.setdefault((A, knots.size), []).append(knots)
+    assert max(len(g) for g in groups.values()) > 5
+    for (A, _), sets in groups.items():
+        assert fast_sup(A, np.array(sets)) == [fast_sup(A, k) for k in sets]
+    # invalid rows get 1e9 in a batch too, quietly, and leave the others be
+    rows = [[0.15, 0.21], [0.5, 0.5], [math.nan, 0.5], [0.5, 30.5], [0.1, 0.3], [0.1, math.inf]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fast_sup(1.0, np.array(rows))
+        assert got == [fast_sup(1.0, np.array(k)) for k in rows]
+        assert got[1:4] == [1e9] * 3 and got[5] == 1e9 and 1e9 not in (got[0], got[4])
+        assert fast_sup(1e308, np.array(rows)) == [1e9] * len(rows)
+        assert fast_sup(1e308, np.zeros((3, 0))) == [2.0] * 3
+    assert fast_sup(1.0, np.zeros((0, 2))) == []
 
 
 def test_fast_sup_piece_table_cache():
