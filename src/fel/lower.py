@@ -112,13 +112,20 @@ class LowerParams:
 
 
 def _odd_coeffs(bs):
-    """u-polynomial coefficients: coefficient of u^(2k+1) is b_(k+1)/(2k+1)!."""
-    return [bn / mp.factorial(2 * k + 1) for k, bn in enumerate(bs)]
+    """u-polynomial coefficients: coefficient of u^(2k+1) is b_(k+1)/(2k+1)!.
+
+    In the number type of ``bs``: Fractions for the exact masses, ``mpf``
+    for the profile, floats for the lower search.
+    """
+    return [bn / math.factorial(2 * k + 1) for k, bn in enumerate(bs)]
 
 
-def _exact_odd_coeffs(p: LowerParams):
-    """The coefficients of :func:`_odd_coeffs` as exact fractions of the stored decimals."""
-    return [Fraction(bn) / math.factorial(2 * k + 1) for k, bn in enumerate(p.b)]
+def _horner(cs, u):
+    """sum_e cs[e] u^e, in the number type of ``cs`` and ``u``."""
+    acc = 0
+    for ce in reversed(cs):
+        acc = acc * u + ce
+    return acc
 
 
 def _profile(a, c, coeffs, t):
@@ -233,24 +240,23 @@ def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, ctx: PrecisionContext):
     and it flips at each returned root, since every returned root has odd
     multiplicity.
     """
-    coeffs = _exact_odd_coeffs(p)
+    coeffs = _odd_coeffs([Fraction(bn) for bn in p.b])
     roots = isolate_sign_changes(coeffs, lo, 0, ctx)
     last = -1 if next(ck for ck in coeffs if ck) > 0 else 1
     signs = [last * (-1) ** (len(roots) - i) for i in range(len(roots) + 1)]
     return [u_lo, *roots, mp.mpf(0)], signs
 
 
-def _mass_poly(p: LowerParams):
-    """R with (e^(lam u) R(u))' = G(u) e^(lam u) exactly, lam = 1 + a.
+def _mass_poly(coeffs, lam):
+    """R with (e^(lam u) R(u))' = G(u) e^(lam u), constant first.
 
-    G(u) = sum_k c_k u^(2k+1) is the profile's odd polynomial
-    (:func:`_exact_odd_coeffs`); R_i = (g_i - (i + 1) R_(i+1)) / lam in
-    Fractions, from the top degree down.  Returned constant first.
+    G(u) = sum_k c_k u^(2k+1) is the odd polynomial of :func:`_odd_coeffs`
+    ``coeffs``; R_i = (g_i - (i + 1) R_(i+1)) / lam from the top degree
+    down, in the number type of ``coeffs`` and ``lam``: exact on Fractions
+    for the reward, float for the lower search.
     """
-    lam = 1 + Fraction(p.a)
-    coeffs = _exact_odd_coeffs(p)
-    R = [Fraction(0)] * (2 * len(coeffs))
-    nxt = Fraction(0)
+    R = [0] * (2 * len(coeffs))
+    nxt = 0
     for i in reversed(range(len(R))):
         g = coeffs[i // 2] if i % 2 else 0
         R[i] = nxt = (g - (i + 1) * nxt) / lam
@@ -268,17 +274,14 @@ def _masses(p: LowerParams, ctx: PrecisionContext):
     coefficients rounded once; each edge of the sign partition costs one
     exponential and one Horner.  Call inside ``ctx.workprec()``.
     """
-    R = [mp.make_mpf(from_rational(r.numerator, r.denominator, mp.mp.prec, round_nearest))
-         for r in reversed(_mass_poly(p))]
+    exact = _mass_poly(_odd_coeffs([Fraction(bn) for bn in p.b]), 1 + Fraction(p.a))
+    R = [mp.make_mpf(from_rational(r.numerator, r.denominator, mp.mp.prec, round_nearest)) for r in exact]
     a, c, _ = p.mp_values()
     lam = 1 + a
     pref = (a / mp.pi) * mp.exp(c)
 
     def F(u):
-        acc = mp.mpf(0)
-        for r in R:
-            acc = acc * u + r
-        return mp.exp(lam * u) * acc
+        return mp.exp(lam * u) * _horner(R, u)
 
     if not c > 0:
         return pref * F(0), mp.mpf(0), mp.mpf(0)

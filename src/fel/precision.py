@@ -6,7 +6,8 @@ with explicit absolute-error radii where a result is not exact:
 * adaptive 24-point Gauss-Legendre quadrature over [0, 1] on one panel
   kind, exact integer panels on P-bit fixed point, each checked against
   the sum over its halves (:func:`integrate_fixed`, with a stated
-  rounding bound),
+  rounding bound); the rule is mpmath's own, rounded to P bits
+  (:func:`gauss_legendre`),
 * exact isolation of the sign changes of odd-power polynomials (Sturm
   sequences in rational arithmetic, no sampling),
 * the safeguarded Newton polish of a bracketed 1-D maximum;
@@ -38,6 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 __all__ = [
     "INF",
@@ -47,14 +49,13 @@ __all__ = [
     "ErrBounded",
     "Unconverged",
     "gauss_legendre",
-    "gauss_legendre_fixed",
     "integrate_fixed",
     "odd_poly_eval",
     "isolate_sign_changes",
     "maximize_scalar",
 ]
 
-_GL_ORDER = 24          # panel order; error estimated against the two halves
+_GL_DEGREE = 4          # mpmath's degree of the 24-point panel rule, checked against its two halves
 _MAX_DEPTH = 48         # panel bisection depth limit
 _PANEL_BUDGET = 60_000  # total panels per integral
 
@@ -148,48 +149,24 @@ class ErrBounded:
 
 
 @functools.lru_cache(maxsize=128)
-def gauss_legendre(order: int, dps: int):
-    """Positive-half Gauss-Legendre nodes/weights on [-1, 1] at ``dps`` digits.
+def gauss_legendre(P: int):
+    """The 24-point Gauss-Legendre rule's positive-half nodes and weights on
+    [-1, 1], on P-bit fixed point.
 
-    ``order`` must be even; the negative nodes are the mirror images.  Nodes
-    are found by Newton iteration on the Legendre recurrence from the usual
-    Chebyshev initial guesses.
-    """
-    if order % 2:
-        raise ValueError("order must be even")
-    pairs = []
-    with mp.workdps(dps + 10):
-        tol = mp.mpf(10) ** (-(dps + 5))
-        for k in range(1, order // 2 + 1):
-            x = mp.mpf(math.cos(math.pi * (k - 0.25) / (order + 0.5)))
-            dp = mp.mpf(1)
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, order + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            pairs.append((x, w))
-    return tuple(pairs)
-
-
-@functools.lru_cache(maxsize=128)
-def gauss_legendre_fixed(order: int, dps: int, P: int):
-    """:func:`gauss_legendre`'s nodes and weights on P-bit fixed point.
-
-    Each is the int nearest to ``x 2^P`` (or ``w 2^P``), so within 1/2 of
-    it.  The tuple is shared by every caller: do not mutate it.
+    The rule is mpmath's own (``GaussLegendre.calc_nodes`` at degree
+    ``_GL_DEGREE``, 3 * 2^3 = 24 points) at P + 20 bits, and each node x and
+    weight w becomes the int nearest to ``x 2^P`` (or ``w 2^P``): within 1/2
+    of it, up to the rule's own error at P + 20 bits, some 1e-8 of a unit.
+    The negative nodes are the mirror images.  The tuple is shared by every
+    caller: do not mutate it.
     """
     def nearest(x):
         man, exp = x.man_exp
         s = exp + P
         return man << s if s >= 0 else (man + (1 << -s - 1)) >> -s
 
-    return tuple((nearest(x), nearest(w)) for x, w in gauss_legendre(order, dps))
+    rule = GaussLegendre(mp.mp).calc_nodes(_GL_DEGREE, P + 20)
+    return tuple((nearest(x), nearest(w)) for x, w in rule if x > 0)
 
 
 def _fixed_panel(f, lo, hi, nodes, P):
@@ -197,7 +174,7 @@ def _fixed_panel(f, lo, hi, nodes, P):
 
     ``lo`` and ``hi`` are ints with ``lo + hi`` even, so the middle
     ``m = (lo + hi) / 2`` is exact; ``nodes`` are the ints of
-    :func:`gauss_legendre_fixed`, and ``f`` maps an int ``t`` to an int
+    :func:`gauss_legendre`, and ``f`` maps an int ``t`` to an int
     near ``F(t u) / u``.  With h = (hi - lo) u / 2 the nodes are
     ``m +- d_k``, d_k = floor(h X_k), the sum
     ``S = sum_k W_k (f(m + d_k) + f(m - d_k))`` is exact, and the panel is
@@ -258,7 +235,7 @@ def integrate_fixed(f: Callable, P: int, ctx: PrecisionContext) -> ErrBounded:
     of the sum of their rules.
     """
     with ctx.workprec():
-        nodes = gauss_legendre_fixed(_GL_ORDER, ctx.digits, P)
+        nodes = gauss_legendre(P)
         half_target = mp.mpf(ctx.target_abs_err) / 2
         round_eps = mp.mpf(10) ** (-ctx.digits + 2)
         one = 1 << P

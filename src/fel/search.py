@@ -20,7 +20,9 @@ takes the L^1 norm in its circle form,
     ||f||_1 = (1/pi) int_0^(pi/2) |sum_n b_n v^(2n-2)| dphi,   v = (1 + e^(-2i phi)) / 2,
 
 the same for every dilation and translation, by 8 Gauss-Legendre panels,
-and the transform masses from one antiderivative polynomial.  Any bound
+and the transform masses from one antiderivative polynomial, on floats,
+by the helpers that give the certified reward its exact one
+(:func:`fel.lower._odd_coeffs`, ``_mass_poly`` and ``_horner``).  Any bound
 that escapes this module is re-evaluated and certified at full working
 precision first.  Everything is deterministic given the seed.
 """
@@ -203,7 +205,7 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
 
 @functools.lru_cache(maxsize=8)
 def _circle_rule(N: int):
-    """(V, wts, odd factorials) for N coefficients, built on first use.
+    """(V, wts) for N coefficients, built on first use.
 
     The nodes phi_j are 8 panels of the 64-point Gauss-Legendre rule on
     [0, pi/2]; ``V[0]`` and ``V[1]`` are the real and imaginary parts of
@@ -221,15 +223,14 @@ def _circle_rule(N: int):
     vp = np.vander(v * v, N, increasing=True)
     V = np.stack([vp.real, vp.imag])
     wts = np.tile(w * (0.5 * h / math.pi), 8)
-    fact = np.array([math.factorial(2 * k + 1) for k in range(N)], dtype=float)
-    for arr in (V, wts, fact):  # shared by every caller
+    for arr in (V, wts):  # shared by every caller
         arr.flags.writeable = False
-    return V, wts, fact
+    return V, wts
 
 
 def _fast_l1_norm(b: np.ndarray) -> float:
     """Float ||f_b||_1 = (1/pi) int_0^(pi/2) |Q_b(v)| dphi, by :func:`_circle_rule`."""
-    V, wts, _ = _circle_rule(len(b))
+    V, wts = _circle_rule(len(b))
     return float(wts @ np.hypot(*(V @ b)))
 
 
@@ -264,12 +265,10 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
     # profile polynomial; with (q e^(lam u))' = p e^(lam u) it is
     # pref * (F(u2) - F(u1)), F(u) = e^(lam u) q(u), and F(-inf) = 0
     lam = 1.0 + a
-    coeffs = b / _circle_rule(N)[2]  # coefficient of u^(2k+1)
+    coeffs = lower._odd_coeffs(b.tolist())  # coefficient of u^(2k+1)
     p = [0.0] * (2 * N)
-    p[1::2] = coeffs.tolist()
-    q = [0.0] * (2 * N + 1)
-    for e in range(2 * N - 1, -1, -1):
-        q[e] = (p[e] - (e + 1) * q[e + 1]) / lam
+    p[1::2] = coeffs
+    q = lower._mass_poly(coeffs, lam)
 
     pref = (a / math.pi) * math.exp(c)
     u_zero = -c / a  # u-image of t = 0; the masses live on (u_zero, 0)
@@ -282,13 +281,13 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
                 if u_zero < u < 0:
                     roots_u.append(u)
     roots_u.sort()
-    F = [math.exp(lam * u) * _horner(q, u) for u in roots_u]
+    F = [math.exp(lam * u) * lower._horner(q, u) for u in roots_u]
     head_i = pref * F[0]
     pos_mass = neg_mass = 0.0
     for u1, u2, F1, F2 in zip(roots_u, roots_u[1:], F, F[1:]):
         if u2 - u1 < 1e-300:
             continue
-        if _horner(p, 0.5 * (u1 + u2)) >= 0:
+        if lower._horner(p, 0.5 * (u1 + u2)) >= 0:
             pos_mass += pref * (F2 - F1)
         else:
             neg_mass -= pref * (F2 - F1)
@@ -300,14 +299,6 @@ def _fast_lower_value_inner(a: float, c: float, b: np.ndarray, penalty: float) -
     else:
         num = head_i - neg_mass - penalty * pos_mass
     return 2.0 * math.pi * num / l1
-
-
-def _horner(cs, u):
-    """sum_e cs[e] u^e, on Python floats."""
-    acc = 0.0
-    for ce in reversed(cs):
-        acc = acc * u + ce
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,16 @@ the mass constant of the tail and the float-range check.  The tests hold
 that kernel to the formula above on mpmath objects (``residual`` in
 ``tests/oracles.py``).
 
-The float form of the residual, :func:`residual_np`, is the numpy kernel
-behind the branch-and-bound grid and the plots.  The
-search's sup estimate :func:`fast_sup` evaluates the same residual in an
-Abel-summed form, one small complex matmul per stage.  These float kernels
-import numpy themselves, when they first run: :mod:`fel.tables` and the
-commands that never touch the grid (``lower-eval``, ``bounds``) need only
-:class:`UpperParams`, and importing numpy would cost them about 0.1 s of
-start-up.
+The float residual has one form, the Abel-summed one: the level rule
+(:func:`_levels`) and the Abel weights (:func:`_abel_weights`) are written
+once, generic over the number type, and serve the certificate on ``mpf``
+and the float kernels on floats.  :func:`residual_np` sums it knot by knot
+for the branch-and-bound grid and the plots; the search's sup estimate
+:func:`fast_sup` sums it as one small complex matmul per stage.  These float
+kernels import numpy themselves, when they first run: :mod:`fel.tables` and
+the commands that never touch the grid (``lower-eval``, ``bounds``) need
+only :class:`UpperParams`, and importing numpy would cost them about 0.1 s
+of start-up.
 
 Throughout this module ``t`` is the code's frequency: the exponentials
 ``e^{(pi - 2 pi i t) T}`` above come from the transform kernel
@@ -80,7 +82,6 @@ _DEFAULT_SLACK = 1e-8       # certification radius goal of the grid stage
 _SPLIT = 8                  # branch-and-bound cell split factor
 _MAX_ROUNDS = 40
 _CELL_BUDGET = 4_000_000
-_TWO_PI_I, _MINUS_TWO_PI_I = 2j * math.pi, -2j * math.pi
 _FLOAT_CEILING = mp.mpf(sys.float_info.max) / 2**10  # headroom for the grid's few products
 
 
@@ -105,9 +106,9 @@ class UpperParams:
             prev = k
 
     def coefficients(self):
-        """Piece weights: penalty on even pieces, -1 on odd ones."""
+        """Piece weights :func:`_levels` as ``mpf``: penalty on even pieces, -1 on odd ones."""
         A = mp.mpf(self.penalty.numerator) / self.penalty.denominator
-        return [A if n % 2 == 0 else mp.mpf(-1) for n in range(len(self.knots))]
+        return [mp.mpf(c) for c in _levels(A, len(self.knots))]
 
     def mp_knots(self):
         return [mp.mpf(str(k)) for k in self.knots]
@@ -118,6 +119,23 @@ class UpperParams:
     @classmethod
     def from_json(cls, obj: dict) -> "UpperParams":
         return cls(penalty=Fraction(obj["A"]), knots=tuple(Decimal(t) for t in obj["T"]))
+
+
+def _levels(A, n: int):
+    """The level rule: ``A, -1, A, -1, ...`` for ``n`` pieces, ``A`` in any number type."""
+    return [A if k % 2 == 0 else -1 for k in range(n)]
+
+
+def _abel_weights(levels: list):
+    """``(d_0, [d_1, ..., d_N])`` of the Abel form for the piece ``levels``.
+
+    ``d_0 = 2 + 2 c_0`` and ``d_m = 2 (c_m - c_{m-1})`` with ``c_N = 0``
+    (``d_0 = 2`` with no pieces), in the levels' number type: the
+    certificate calls it on ``mpf`` and :func:`_pieces` on floats, in the
+    same order of operations.
+    """
+    d0 = 2 + 2 * levels[0] if levels else 2
+    return d0, [2 * (b - a) for a, b in zip(levels, levels[1:] + [0])]
 
 
 class _PieceTable(NamedTuple):
@@ -172,12 +190,12 @@ def _residual_slope(table: _PieceTable):
     ``k_m`` are computed once, here; each ``e^{-i k_m t}`` once per ``t``.
     """
     prec = mp.mp.prec
-    cs = table.levels + [mp.mpf(0)]  # c_N = 0
-    d0 = (2 + 2 * cs[0])._mpf_
+    d0, ds = _abel_weights(table.levels)
+    d0 = mp.mpf(d0)._mpf_
     terms = []
-    for m, (T, E) in enumerate(zip(table.knots[1:], table.exps[1:]), 1):
+    for d, T, E in zip(ds, table.knots[1:], table.exps[1:]):
         k = 2 * mp.pi * T
-        terms.append(((2 * (cs[m] - cs[m - 1]) * E)._mpf_, k._mpf_, (k * k)._mpf_))
+        terms.append(((d * E)._mpf_, k._mpf_, (k * k)._mpf_))
     add, sub, mul = (functools.partial(op, prec=prec, rnd=_RND) for op in (mpf_add, mpf_sub, mpf_mul))
     twice = functools.partial(mpf_mul_int, n=2, prec=prec, rnd=_RND)
 
@@ -232,42 +250,34 @@ def _modulus_and_slope(table: _PieceTable):
     return modulus, slope
 
 
-def _alternation(A, n: int) -> np.ndarray:
-    """The weights ``A, -1, A, -1, ...`` of ``n`` pieces, as floats."""
-    import numpy as np
-
-    cs = np.full(n, -1.0)
-    cs[::2] = float(A)
-    return cs
-
-
 def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
-    """The residual at the float array ``ts`` in float64, for penalty ``A``.
+    """The residual at the float array ``ts`` (any shape) in float64, for penalty ``A``.
 
     ``knots`` are the knots ``T_1 < ... < T_N`` (floats, or anything
-    ``float`` accepts).  Each ``e^{(pi - 2 pi i t) T_n}`` is computed once
-    (1 for ``T_0 = 0``).  With ``deriv`` the result is (residual, d/dt residual).
+    ``float`` accepts).  The Abel form of :func:`fast_sup` on the weights of
+    :func:`_pieces`, summed knot by knot: one complex exponential per knot
+    and a few arrays the size of ``ts``.  With ``deriv`` the result is
+    (residual, d/dt residual), the slope ``(N' + 2i residual) / (1 - 2it)``
+    from the same exponentials, ``N'`` the derivative of the numerator.
     """
     import numpy as np
 
-    z = 1 - 2j * ts
-    w = np.pi - _TWO_PI_I * ts
-    val = 2 / z
+    Ts = np.array([float(k) for k in knots])
+    dc2, _, d0 = _pieces(float(A), Ts.size)
+    num = np.full(np.shape(ts), d0, dtype=complex)
     if deriv:
-        z2 = z * z
-        der = 4j / z2
-    e0, k0 = 1.0, 0.0
-    for k, cn in zip(knots, _alternation(A, len(knots))):
-        k = float(k)
-        e1 = np.exp(w * k)
-        if cn != 0.0:
-            val = val - 2 * cn * (e1 - e0) / z
-            if deriv:
-                der = der - 2 * cn * (
-                    _MINUS_TWO_PI_I * (k * e1 - k0 * e0) / z + 2j * (e1 - e0) / z2
-                )
-        e0, k0 = e1, k
-    return (val, der) if deriv else val
+        num1 = np.zeros_like(num)
+    for w, f in zip((dc2 * np.exp(np.pi * Ts)).tolist(), (-2j * np.pi * Ts).tolist()):
+        e = np.multiply(ts, f)  # -2 pi i T_m t
+        np.exp(e, out=e)
+        e *= w
+        num += e
+        if deriv:
+            e *= f
+            num1 += e
+    z = 1 - 2j * ts
+    val = num / z
+    return (val, (num1 + 2j * val) / z) if deriv else val
 
 
 def fast_sup(A: float, knots: np.ndarray) -> float | list[float]:
@@ -366,16 +376,18 @@ def _estimate(A, rows, out):
 
 @functools.lru_cache(maxsize=64)
 def _pieces(A: float, n: int):
-    """(2 diff(c, append 0), |c|, d_0) of :func:`fast_sup` for ``n`` pieces.
+    """(the ``d_m``, ``|c|``, ``d_0``) of :func:`_abel_weights` as floats, for ``n`` pieces.
 
-    Built once per ``(A, n)`` and read-only: every call shares them.
+    Built once per ``(A, n)`` and read-only: every call of :func:`fast_sup`
+    and :func:`residual_np` shares them.
     """
     import numpy as np
 
-    cs = _alternation(A, n)
-    dc2, cabs = 2 * np.diff(cs, append=0.0), np.abs(cs)
+    cs = [float(c) for c in _levels(A, n)]
+    d0, ds = _abel_weights(cs)
+    dc2, cabs = np.array(ds, dtype=float), np.abs(cs)
     dc2.flags.writeable = cabs.flags.writeable = False
-    return dc2, cabs, 2.0 + 2.0 * cs[0] if n else 2.0
+    return dc2, cabs, float(d0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -449,18 +461,15 @@ def _tail_cut(C, threshold):
     return mp.sqrt((C / threshold) ** 2 - 1) / 2
 
 
-def _branch_and_bound(up, t_lo, t_hi, L2, slack, target=None):
+def _branch_and_bound(up, t_lo, t_hi, L2, slack):
     """Max of |residual| on [t_lo, t_hi] to within ``slack`` (float grid).
 
     Second-order cell certificate: with midpoint value g, derivative g' and
     half-width h, ``sup_cell |residual| <= max(|g - g'h|, |g + g'h|) + L2 h^2 / 2``
     by the complex Taylor bound.  Cells whose certificate stays above the
-    retention level (running witness + slack, or ``target`` when given) are
-    split; the rest are discarded.  Returns (witness_t, witness_value,
-    certified_sup_bound, finest_cell_width, midpoints_evaluated).  A given
-    ``target`` also returns early once a sample exceeds it (used by the
-    tests' below-threshold certifier, ``certify_below`` in
-    ``tests/oracles.py``).
+    running witness plus ``slack`` are split; the rest are discarded.
+    Returns (witness_t, witness_value, certified_sup_bound,
+    finest_cell_width, midpoints_evaluated).
     """
     import numpy as np
 
@@ -483,10 +492,8 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack, target=None):
         if float(absg[i]) > witness_v:
             witness_v = float(absg[i])
             witness_t = float(mids[i])
-        if target is not None and witness_v > target:
-            return witness_t, witness_v, witness_v, finest, evals
         bound = np.maximum(np.abs(g - gd * h), np.abs(g + gd * h)) + 0.5 * L2 * h * h
-        level = (witness_v + slack) if target is None else target
+        level = witness_v + slack
         keep = bound > level
         if not keep.any():
             return witness_t, witness_v, level, finest, evals

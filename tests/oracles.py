@@ -210,9 +210,11 @@ def residual(up: UpperParams, t):
 def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: PrecisionContext):
     """Certify |residual(t)| < threshold for every t >= t_lo.
 
-    Returns ``(ok, meta)``; on failure the meta carries a witness t with
-    sample value >= threshold.  The scan window ends where the closed-form
-    majorant drops under the threshold.
+    Returns ``(ok, meta)``: the grid runs with ``threshold * 1e-6`` as its
+    slack, and certifies when its bound (``meta["sup_bound"]``, the witness
+    plus that slack) is below the threshold; the meta carries the witness.
+    The scan window ends where the closed-form majorant drops under the
+    threshold.
     """
     with ctx.workprec():
         _, L2, C = _piece_table(up)
@@ -222,17 +224,13 @@ def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: Precision
             return True, meta
         margin = float(threshold) * 1e-6
         try:
-            wt, wv, cert, _, _ = _branch_and_bound(
-                up, float(t_lo), float(t_hi), float(L2), margin,
-                target=float(threshold) - margin,
-            )
+            wt, wv, cert, _, _ = _branch_and_bound(up, float(t_lo), float(t_hi), float(L2), margin)
         except Unconverged:
             return False, {**meta, "reason": "refinement budget exhausted"}
         meta["sup_bound"] = cert
         meta["witness_t"] = wt
         meta["witness_value"] = wv
-        ok = cert <= float(threshold) - margin and wv < float(threshold) - margin
-        return ok, meta
+        return cert < float(threshold), meta
 
 
 def local_maxima(up: UpperParams, t_lo: float, t_hi: float, ctx: PrecisionContext, samples: int = 200_000):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -725,11 +726,8 @@ def _code_references(tree, name, own):
             and (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)]
 
 
-def test_all_lists_each_public_name():
-    # every exported name exists, every public function and class a module
-    # defines is exported, and every exported function and class is used by
-    # code in src/fel or scripts/ outside its own definition (docstring
-    # mentions do not count): what only the tests use lives in tests/oracles.py
+def _source_trees():
+    """(the package directory, {path: parsed module} of src/fel and scripts/)."""
     pkg = os.path.dirname(cli.__file__)
     scripts = os.path.join(os.path.dirname(os.path.dirname(pkg)), "scripts")
     trees = {}
@@ -738,6 +736,15 @@ def test_all_lists_each_public_name():
             if f.endswith(".py"):
                 with open(os.path.join(d, f)) as fh:
                     trees[os.path.join(d, f)] = ast.parse(fh.read())
+    return pkg, trees
+
+
+def test_all_lists_each_public_name():
+    # every exported name exists, every public function and class a module
+    # defines is exported, and every exported function and class is used by
+    # code in src/fel or scripts/ outside its own definition (docstring
+    # mentions do not count): what only the tests use lives in tests/oracles.py
+    pkg, trees = _source_trees()
     for name in ("precision", "lower", "upper", "closed_form", "nt", "search", "tables"):
         mod = importlib.import_module("fel." + name)
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], name
@@ -750,3 +757,19 @@ def test_all_lists_each_public_name():
                   if (inspect.isfunction(getattr(mod, n)) or inspect.isclass(getattr(mod, n)))
                   and not any(_code_references(tree, n, path == home) for path, tree in trees.items())]
         assert unused == [], name
+
+
+def test_every_function_and_class_has_a_caller():
+    # every top-level function and class of src/fel, private ones included,
+    # is used by code in src/fel or scripts/ outside its own definition: a
+    # helper goes with its last caller
+    def names(node):
+        return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+    pkg, trees = _source_trees()
+    used = sum(map(names, trees.values()), collections.Counter())
+    dead = [(os.path.basename(path), d.name) for path, tree in trees.items() if path.startswith(pkg)
+            for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+            and used[d.name] == names(d)[d.name]]
+    assert dead == []

@@ -196,7 +196,7 @@ def _circle_integrand(bs, shift, t):
 
 def _sign_changes(p, lo, ctx):
     """The profile's sign changes in u on (lo, 0), isolated exactly."""
-    return isolate_sign_changes(lower._exact_odd_coeffs(p), lo, 0, ctx)
+    return isolate_sign_changes(lower._odd_coeffs([Fraction(bn) for bn in p.b]), lo, 0, ctx)
 
 
 def test_sign_partition_single_sign(ctx40):
@@ -282,7 +282,7 @@ def _check_masses(p, digits):
         a, c, _ = p.mp_values()
         edges, _ = _partition(p, ctx) if c > 0 else ([min(mp.mpf(0), -c / a)], [])
         round_eps = mp.mpf(10) ** (-(digits - 6))
-    R = lower._mass_poly(p)
+    R = lower._mass_poly(lower._odd_coeffs([Fraction(bn) for bn in p.b]), 1 + Fraction(p.a))
     with mp.workdps(2 * digits):
         a, c, bs = p.mp_values()
         lam = 1 + a

@@ -568,5 +568,5 @@ def test_optimize_lower_pinned_transcript(ctx40, tmp_path):
     assert rows == [
         {"kind": "lower", "restart": 0, "value": 1.0792990301987424, "nevals": 400},
         {"kind": "lower", "restart": 1, "value": 1.1144687602137529, "nevals": 400},
-        {"kind": "lower-final", "value": 1.1144687602137517, "err": 2.2290574413043325e-34},
+        {"kind": "lower-final", "value": 1.1144687602137517, "err": 2.2290574413042692e-34},
     ]
