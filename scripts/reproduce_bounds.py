@@ -32,7 +32,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--digits", type=int, default=40)
     args = ap.parse_args()
-    ctx = PrecisionContext.make(args.digits)
+    ctx = PrecisionContext(args.digits)
 
     lower_ref = tables.lower_reference()
     upper_ref = tables.upper_reference()

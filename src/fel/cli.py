@@ -49,7 +49,7 @@ def _context(ns) -> PrecisionContext:
     digits = int(digits)
     if not 30 <= digits <= _MAX_DIGITS:
         raise _CliError("digits must be between 30 and %d" % _MAX_DIGITS)
-    return PrecisionContext.make(digits)
+    return PrecisionContext(digits)
 
 
 def _emit(ns, text):

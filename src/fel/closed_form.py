@@ -29,9 +29,6 @@ __all__ = [
     "large_order_constant",
 ]
 
-_CTX30 = PrecisionContext.make(30)
-
-
 def _check_open_unit(A):
     A = mp.mpf(str(A))
     if not (0 < A < 1):
@@ -39,20 +36,20 @@ def _check_open_unit(A):
     return A
 
 
-def closed_lower_bound_first_branch(penalty, ctx: PrecisionContext = _CTX30):
+def closed_lower_bound_first_branch(penalty, ctx: PrecisionContext):
     """The tent-derived branch 2 - 2(A+1)log((3-A)/(A+1))/|log A| + 2A."""
     with ctx.workprec():
         A = _check_open_unit(penalty)
         return 2 - 2 * (A + 1) * mp.log((3 - A) / (A + 1)) / abs(mp.log(A)) + 2 * A
 
 
-def closed_lower_bound(penalty, ctx: PrecisionContext = _CTX30):
+def closed_lower_bound(penalty, ctx: PrecisionContext):
     """Generic lower bound for the extremal constant on 0 < penalty < 1."""
     with ctx.workprec():
         return max(closed_lower_bound_first_branch(penalty, ctx), mp.mpf(1))
 
 
-def implied_constant(bound, ctx: PrecisionContext = _CTX30):
+def implied_constant(bound, ctx: PrecisionContext):
     """Implied asymptotic constant bound^-2 from an extremal-constant bound."""
     with ctx.workprec():
         b = mp.mpf(str(bound))
@@ -61,7 +58,7 @@ def implied_constant(bound, ctx: PrecisionContext = _CTX30):
         return 1 / (b * b)
 
 
-def large_order_constant(order: int, ctx: PrecisionContext = _CTX30, simple: bool = False):
+def large_order_constant(order: int, ctx: PrecisionContext, simple: bool = False):
     """Implied-constant bound for integer order >= 6.
 
     Sharp variant:  (1/4) (1 - (l/(l-1)) log((3l-4)/l) / log(l-1) + 1/(l-1))^-2.

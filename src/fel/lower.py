@@ -50,7 +50,6 @@ from .precision import (
     as_penalty,
     integrate_fixed,
     isolate_sign_changes,
-    odd_poly_eval,
 )
 
 __all__ = [
@@ -134,7 +133,7 @@ def _profile(a, c, coeffs, t):
     u = (mp.pi * mp.mpf(t) - c) / a
     if u > 0:
         return mp.mpf(0)
-    return mp.e**u * odd_poly_eval(coeffs, u)
+    return mp.e**u * (_horner(coeffs, u * u) * u)
 
 
 def _circle_kernel(bs, shift, P):
@@ -241,7 +240,7 @@ def _sign_intervals(p: LowerParams, lo: Fraction, u_lo, ctx: PrecisionContext):
     multiplicity.
     """
     coeffs = _odd_coeffs([Fraction(bn) for bn in p.b])
-    roots = isolate_sign_changes(coeffs, lo, 0, ctx)
+    roots = isolate_sign_changes(coeffs, lo, ctx)
     last = -1 if next(ck for ck in coeffs if ck) > 0 else 1
     signs = [last * (-1) ** (len(roots) - i) for i in range(len(roots) + 1)]
     return [u_lo, *roots, mp.mpf(0)], signs

@@ -380,8 +380,8 @@ class PrimeSumReport:
     tail_integral: float
     norm_g: float
     norm_g_prime: float
-    psi_m: float = 0.0
-    psi_window: float = 0.0
+    psi_m: float
+    psi_window: float
 
     @property
     def truncated_residual(self) -> float:
@@ -415,42 +415,36 @@ class PrimeSumReport:
         }
 
 
-def _float_quad(f, lo, hi, panels=2000):
+_QUAD_PANELS = 2000  # Simpson panels of each normalization integral
+
+
+def _float_quad(f, lo, hi):
     """Composite Simpson for the float-precision normalization integrals."""
     if hi <= lo:
         return 0.0
-    xs = np.linspace(lo, hi, 2 * panels + 1)
+    xs = np.linspace(lo, hi, 2 * _QUAD_PANELS + 1)
     ys = np.asarray(f(xs), dtype=np.float64)
-    h = (hi - lo) / (2 * panels)
+    h = (hi - lo) / (2 * _QUAD_PANELS)
     return float(h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum()))
 
 
-def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
-                    g_prime_l1: float | None = None) -> PrimeSumReport:
+def prime_sum_check(m: int, g: Callable) -> PrimeSumReport:
     """Empirically compare the prime-power sums against their integrals.
 
     ``g`` must be vectorized over numpy arrays, continuous with piecewise-C^1
-    structure, and supported inside [-log m / pi, log m / pi] (pass
-    ``support`` explicitly unless g carries a ``.support`` attribute).  The
-    truncated side sums 2 <= n < m; the tail side sums n >= m up to the end
-    of the support.  Residuals are reported normalized by
-    ``(||g||_1 + ||g'||_1) log^2 m``; ||g'||_1 is ``g_prime_l1`` or, when
-    that is not given, ``g.dl1`` (set by :func:`raised_cosine_bump`); with
-    neither, a ValueError is raised.  Also reports the Chebyshev sum psi(m)
-    against m with the sqrt(m) log^2 m window (reported, never asserted).
+    structure, and carry its support, inside [-log m / pi, log m / pi], as
+    ``g.support`` and ||g'||_1 as ``g.dl1``, as :func:`raised_cosine_bump`
+    sets them.  The truncated side sums 2 <= n < m; the tail side sums
+    n >= m up to the end of the support.  Residuals are reported normalized
+    by ``(||g||_1 + ||g'||_1) log^2 m``.  Also reports the Chebyshev sum
+    psi(m) against m with the sqrt(m) log^2 m window (reported, never
+    asserted).
     """
     if m < 3:
         raise ValueError("m must be >= 3")
     if m > 10**8:
         raise ValueError("m must be <= 1e8")
-    sup = support if support is not None else getattr(g, "support", None)
-    if sup is None:
-        raise ValueError("need the support of g")
-    if g_prime_l1 is None:
-        g_prime_l1 = getattr(g, "dl1", None)
-    if g_prime_l1 is None:
-        raise ValueError("need ||g'||_1: pass g_prime_l1 or a g carrying .dl1")
-    lo_s, hi_s = float(sup[0]), float(sup[1])
+    lo_s, hi_s = float(g.support[0]), float(g.support[1])
     logm = math.log(m)
     if lo_s < -logm / math.pi - 1e-12 or hi_s > logm / math.pi + 1e-12:
         raise ValueError("support of g must sit inside [-log m/pi, log m/pi]")
@@ -514,7 +508,7 @@ def prime_sum_check(m: int, g: Callable, support: tuple | None = None,
         tail_sum=tail,
         tail_integral=I_tail,
         norm_g=norm_g,
-        norm_g_prime=float(g_prime_l1),
+        norm_g_prime=float(g.dl1),
         psi_m=psi_m,
         psi_window=math.sqrt(m) * logm**2,
     )

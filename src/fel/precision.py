@@ -1,15 +1,16 @@
 """Arbitrary-precision scalar kernels shared by every other module.
 
-Three primitives, at a precision fixed by a :class:`PrecisionContext`,
-with explicit absolute-error radii where a result is not exact:
+Three primitives, at the working precision of a :class:`PrecisionContext`
+(its digits, and the absolute error goal ten digits short of them), with
+explicit absolute-error radii where a result is not exact:
 
 * adaptive 24-point Gauss-Legendre quadrature over [0, 1] on one panel
   kind, exact integer panels on P-bit fixed point, each checked against
   the sum over its halves (:func:`integrate_fixed`, with a stated
   rounding bound); the rule is mpmath's own, rounded to P bits
   (:func:`gauss_legendre`),
-* exact isolation of the sign changes of odd-power polynomials (Sturm
-  sequences in rational arithmetic, no sampling),
+* exact isolation of the sign changes of odd-power polynomials on
+  (lo, 0) (Sturm sequences in rational arithmetic, no sampling),
 * the safeguarded Newton polish of a bracketed 1-D maximum;
 
 plus the two normalisers every parameter type shares: penalties to exact
@@ -50,7 +51,6 @@ __all__ = [
     "Unconverged",
     "gauss_legendre",
     "integrate_fixed",
-    "odd_poly_eval",
     "isolate_sign_changes",
     "maximize_scalar",
 ]
@@ -98,32 +98,22 @@ class Unconverged(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision (decimal digits) and absolute error goal.
+    """Working precision in decimal digits, at least 30.
 
-    ``digits`` must be at least 30; ``target_abs_err`` must leave at least
-    five guard digits, i.e. ``target_abs_err >= 10**(-digits + 5)``.
+    The absolute error goal :attr:`target_abs_err` follows from it:
+    ``10**-(digits - 10)``, ten digits short of the working precision.
     """
 
     digits: int
-    target_abs_err: float
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError("digits must be >= 30, got %r" % (self.digits,))
-        if not self.target_abs_err > 0:
-            raise ValueError("target_abs_err must be positive")
-        if self.target_abs_err < 10.0 ** (-self.digits + 5):
-            raise ValueError(
-                "target_abs_err %g leaves fewer than 5 guard digits at %d digits"
-                % (self.target_abs_err, self.digits)
-            )
 
-    @classmethod
-    def make(cls, digits: int = 40, target_abs_err: float | None = None) -> "PrecisionContext":
-        """Context with a default error goal of 10**-(digits-10)."""
-        if target_abs_err is None:
-            target_abs_err = 10.0 ** (-(digits - 10))
-        return cls(digits=digits, target_abs_err=target_abs_err)
+    @property
+    def target_abs_err(self) -> float:
+        """The absolute error goal ``10**-(digits - 10)``."""
+        return 10.0 ** -(self.digits - 10)
 
     def workprec(self):
         """mpmath precision guard: ``with ctx.workprec(): ...``."""
@@ -139,7 +129,7 @@ class ErrBounded:
     maximization.
     """
 
-    value: object  # mpf, or mpc for complex integrands
+    value: object  # mpf
     err: object    # mpf >= 0
     meta: dict = field(default_factory=dict)
 
@@ -267,16 +257,6 @@ def integrate_fixed(f: Callable, P: int, ctx: PrecisionContext) -> ErrBounded:
         return ErrBounded(mp.ldexp(value, -P), mp.ldexp(err, -P), meta={"panels": panels})
 
 
-def odd_poly_eval(odd_coeffs: Sequence, u):
-    """Evaluate ``sum_k odd_coeffs[k] * u**(2k+1)`` (Horner in u**2)."""
-    u = mp.mpf(u)
-    u2 = u * u
-    acc = mp.mpf(0)
-    for c in reversed(list(odd_coeffs)):
-        acc = acc * u2 + c
-    return acc * u
-
-
 def _bisect_root(p, lo, hi, slo, target):
     """Bisect a bracketed sign change to absolute width ``target``."""
     while hi - lo > target:
@@ -356,65 +336,47 @@ def _isolate(chain, hi: Fraction):
     return out
 
 
-def isolate_sign_changes(
-    odd_coeffs: Sequence,
-    lo,
-    hi,
-    ctx: PrecisionContext,
-) -> tuple:
-    """The sign changes of an odd-power polynomial inside (lo, hi), sorted.
+def isolate_sign_changes(odd_coeffs: Sequence, lo, ctx: PrecisionContext) -> tuple:
+    """The sign changes of an odd-power polynomial inside (lo, 0), sorted.
 
-    Exact isolation in rational arithmetic: the coefficients and the ends
-    are exact rationals (ints, Fractions, Decimals or strings), and the
-    polynomial is ``u * q(u^2)``.  ``u = 0`` is a sign change whenever it
-    is interior.  The other roots are isolated in
-    ``0 < u < max(|lo|, |hi|)`` by Sturm-sequence bisection on ``q(u^2)``,
-    which counts distinct roots, so roots of every multiplicity and at any
-    separation are found.  A root is kept only when
-    ``q`` has opposite exact signs at the ends of its isolating interval,
-    i.e. when its multiplicity is odd; it then stands for ``u`` and ``-u``,
-    each kept when it lies strictly inside (lo, hi), and is bisected on
-    exact signs to ``ctx.target_abs_err``.
+    Exact isolation in rational arithmetic: the coefficients and ``lo`` are
+    exact rationals (ints, Fractions, Decimals or strings), and the
+    polynomial is ``u * q(u^2)``.  The roots of ``q(u^2)`` are isolated in
+    ``0 < u < 2^k``, the power of two past ``|lo|``, by Sturm-sequence
+    bisection, which counts distinct roots, so roots of every multiplicity
+    and at any separation are found.  A root is kept only when ``q`` has
+    opposite exact signs at the ends of its isolating interval, i.e. when
+    its multiplicity is odd, and when it lies strictly below ``|lo|``; its
+    mirror ``-u`` is then a sign change, bisected on exact signs to
+    ``ctx.target_abs_err``.
     """
     q = [Fraction(c) for c in odd_coeffs]
     while q and q[-1] == 0:
         q.pop()
     if not q:
         raise ValueError("polynomial is identically zero")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
+    cut = -Fraction(lo)
+    if not cut > 0:
         return ()
-    while q[0] == 0:  # factors of u^2 only raise the odd order of u = 0
+    while q[0] == 0:  # factors of u^2 only raise the order of u = 0, an end
         q.pop(0)
-    roots = [Fraction(0)] if lo < 0 < hi else []
+    roots = []
     if len(q) > 1:
         chain = _sturm_chain(q)
         sign = lambda u: _sign_at(chain[0], u * u)
-        top = Fraction(2) ** math.ceil(max(abs(lo), abs(hi))).bit_length()
-        while sign(top) == 0:  # a root there lies outside (lo, hi)
+        top = Fraction(2) ** math.ceil(cut).bit_length()
+        while sign(top) == 0:  # a root there lies outside (lo, 0)
             top *= 2
         target = Fraction(ctx.target_abs_err)
         for a, b in _isolate(chain, top):
             sa = sign(a)
             if sa == sign(b):
                 continue  # even multiplicity: q touches zero without a flip
-            for cut in (abs(lo), abs(hi)):  # settle the root's side of each end
-                if a < cut < b:
-                    sc = sign(cut)
-                    if sc == 0:
-                        a = b = cut
-                    elif sc == sa:
-                        a = cut
-                    else:
-                        b = cut
-            if a == b:  # the root is exactly |lo| or |hi|
-                inside = lambda x, y: x < a < y
-            else:
-                inside = lambda x, y: x <= a and b <= y
-            pos, neg = inside(lo, hi), inside(-hi, -lo)
-            if pos or neg:
-                r = a if a == b else _bisect_root(sign, a, b, sa, target)
-                roots += [r] * pos + [-r] * neg
+            if b > cut:  # settle the root's side of |lo|
+                if a >= cut or sign(cut) != -sa:
+                    continue  # the root is |lo| or past it
+                b = cut
+            roots.append(-_bisect_root(sign, a, b, sa, target))
     with ctx.workprec():
         return tuple(mp.mpf(r.numerator) / r.denominator for r in sorted(roots))
 

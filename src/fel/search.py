@@ -73,7 +73,6 @@ class PraxisResult:
     x: np.ndarray
     fun: float
     nevals: int
-    budget_exhausted: bool
 
 
 class _BudgetExhausted(Exception):
@@ -144,14 +143,13 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
     update), re-orthogonalizes the set along the principal axes of the
     recent displacements (SVD) every sweep cycle, and applies a small seeded
     random kick when progress stalls.  Deterministic for a fixed seed; stops
-    on two consecutive sweeps below ``_LOCAL_TOL`` (relative) or on budget
-    exhaustion (result flagged).
+    on two consecutive sweeps below ``_LOCAL_TOL`` (relative) or once
+    ``cfg.budget`` evaluations are spent, with the best point so far.
     """
     rng = np.random.default_rng(cfg.seed)
     x = np.asarray(x0, dtype=np.float64).copy()
     n = x.size
     f = _Counter(objective, cfg.budget)
-    exhausted = False
     try:
         fx = f(x)
         V = np.eye(n)
@@ -195,8 +193,8 @@ def praxis_minimize(objective: Callable, x0: Sequence[float], cfg: SearchConfig)
             else:
                 stalls = 0
     except _BudgetExhausted:
-        exhausted = True
-    return PraxisResult(x=x, fun=fx, nevals=f.n, budget_exhausted=exhausted)
+        pass
+    return PraxisResult(x=x, fun=fx, nevals=f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +317,21 @@ class _Transcript:
                 fh.write(json.dumps(row) + "\n")
 
 
-def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionContext | None = None,
+def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionContext,
                    x0: Sequence[float] | None = None, transcript_path=None):
     """Maximize the lower-family reward over (b, log a, c).
 
     Runs ``cfg.restarts`` seeded principal-axis starts on the fast float
     objective (log-parametrized dilation keeps a > 0), then recomputes the
-    incumbent at full precision.  A seed ``x0`` is one start, ``n_terms + 2``
-    finite floats (b, log a, c); any other raises ValueError.  Returns
-    (LowerParams, the reward as an ErrBounded whose ``meta["l1"]`` is its
-    L^1 norm).
+    incumbent at full precision.  The starts share ``cfg.budget``
+    evaluations: each gets ``budget // restarts``, the first
+    ``budget % restarts`` one more, and a start whose share is 0 does not
+    run.  A seed ``x0`` is the first start, ``n_terms + 2`` finite floats
+    (b, log a, c); any other raises ValueError.  Returns (LowerParams, the
+    reward as an ErrBounded whose ``meta["l1"]`` is its L^1 norm).
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
-    ctx = ctx or PrecisionContext.make(40)
     pen = as_penalty(penalty)
     pen_f = math.inf if pen is INF else float(pen)
     rng = np.random.default_rng(cfg.seed)
@@ -349,8 +348,7 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
         return -_fast_lower_value(a, c, b, pen_f)
 
     best_x, best_v = None, -math.inf
-    budget_each = max(cfg.budget // cfg.restarts, 100)
-    sub = dataclasses.replace(cfg, restarts=1, budget=budget_each)
+    share, extra = divmod(cfg.budget, cfg.restarts)
     starts = []
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
@@ -363,8 +361,11 @@ def optimize_lower(penalty, n_terms: int, cfg: SearchConfig, ctx: PrecisionConte
         log_a = rng.normal(0.0, 0.7)
         c0 = abs(rng.normal(0.5, 0.5))
         starts.append(np.concatenate([b, [log_a, c0]]))
-    for i, s in enumerate(starts[: cfg.restarts]):
-        res = praxis_minimize(neg_objective, s, sub)
+    for i, s in enumerate(starts):
+        budget = share + (i < extra)
+        if budget == 0:
+            break  # the budget is spent: no later start gets a share either
+        res = praxis_minimize(neg_objective, s, dataclasses.replace(cfg, restarts=1, budget=budget))
         if -res.fun > best_v:
             best_v, best_x = -res.fun, res.x.copy()
             log.record(kind="lower", restart=i, value=best_v, nevals=res.nevals)
@@ -568,7 +569,7 @@ def _knots_of_gaps(y):
     return np.cumsum(np.exp(np.minimum(np.maximum(y, -18.0), 3.0)), axis=-1)
 
 
-def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = None,
+def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext,
                    knots0: Sequence[float] | None = None, transcript_path=None):
     """Minimize the sup-norm over knot vectors, growing the knot count.
 
@@ -582,7 +583,6 @@ def optimize_upper(penalty, cfg: SearchConfig, ctx: PrecisionContext | None = No
     Returns (UpperParams, the sup-norm as an ErrBounded) certified at full
     precision.
     """
-    ctx = ctx or PrecisionContext.make(40)
     empty = upper.UpperParams(penalty=penalty, knots=())  # validates the penalty
     A = float(empty.penalty)
     rng = np.random.default_rng(cfg.seed)

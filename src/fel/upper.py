@@ -462,7 +462,7 @@ def _tail_cut(C, threshold):
 
 
 def _branch_and_bound(up, t_lo, t_hi, L2, slack):
-    """Max of |residual| on [t_lo, t_hi] to within ``slack`` (float grid).
+    """Max of |residual| on [t_lo, t_hi], t_lo < t_hi, to within ``slack`` (float grid).
 
     Second-order cell certificate: with midpoint value g, derivative g' and
     half-width h, ``sup_cell |residual| <= max(|g - g'h|, |g + g'h|) + L2 h^2 / 2``
@@ -474,9 +474,6 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack):
     import numpy as np
 
     A, knots = up.penalty, up.knots
-    if t_hi <= t_lo:
-        v = float(abs(residual_np(A, knots, np.array([t_lo]))[0]))
-        return t_lo, v, v, 0.0, 0
     n0 = min(max(int((t_hi - t_lo) / _DEFAULT_GRID_STEP), 64), 400_000)
     h = (t_hi - t_lo) / (2 * n0)
     mids = np.linspace(t_lo + h, t_hi - h, n0)

@@ -28,12 +28,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def ctx40():
-    return PrecisionContext.make(40)
+    return PrecisionContext(40)
 
 
 @pytest.fixture(scope="session")
 def ctx30():
-    return PrecisionContext.make(30)
+    return PrecisionContext(30)
 
 
 @pytest.fixture(scope="session")

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from fel.closed_form import _CTX30, _check_open_unit
+from fel.closed_form import _check_open_unit
 from fel.lower import LowerParams, _odd_coeffs, _profile
 from fel.nt import _least_prime_with_symbol
 from fel.precision import PrecisionContext, Unconverged, maximize_scalar
 from fel.search import _knots_of_gaps
 from fel.upper import (UpperParams, _branch_and_bound, _modulus_and_slope, _piece_table, _tail_cut, fast_sup,
                        residual_np)
+
+
+_CTX30 = PrecisionContext(30)  # the tent oracles' default precision
 
 
 # closed-form integrals (fel.precision)

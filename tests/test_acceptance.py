@@ -286,7 +286,7 @@ def test_criterion_7_property_suites(lower_ref, upper_ref, lower_results, upper_
     # 200-case antiderivative-vs-quadrature oracle at absolute 1e-10; the
     # sampled integrands reach magnitude ~1e38, so 60 working digits keep
     # raw roundoff well under the goal
-    ctx60 = PrecisionContext.make(60)
+    ctx60 = PrecisionContext(60)
     rng = random.Random(20240831)
     worst = 0.0
     for _ in range(200):
@@ -304,7 +304,7 @@ def test_criterion_7_property_suites(lower_ref, upper_ref, lower_results, upper_
     details.append("oracle worst |d| = %.1e" % worst)
 
     # precision-doubling stability of every published digit
-    ctx80 = PrecisionContext.make(80)
+    ctx80 = PrecisionContext(80)
     stable = True
     for key in PENALTIES:
         r80 = reward(lower_ref[key][1], key, ctx80)

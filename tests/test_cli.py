@@ -6,6 +6,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -773,3 +774,45 @@ def test_every_function_and_class_has_a_caller():
             for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
             and used[d.name] == names(d)[d.name]]
     assert dead == []
+
+
+# defaulted parameters that only callers outside src/fel and scripts/ set
+_DEFAULTS_SET_ELSEWHERE = {
+    ("cli.py", "main", "argv"),  # the tests drive the CLI through it
+    ("search.py", "optimize_lower", "x0"),  # seeded lower searches: criterion 9 and its polish fixture
+    ("search.py", "optimize_upper", "knots0"),  # the seeded upper search of criterion 9
+}
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # every defaulted parameter of a function or method of src/fel is passed,
+    # by position or by keyword, by at least one call in src/fel or scripts/
+    # (calls matched by name): a knob that only its default sets goes
+    pkg, trees = _source_trees()
+    calls = collections.defaultdict(list)  # name -> [(positional count, keywords)]
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                npos = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
+                kws = {k.arg for k in n.keywords}
+                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append((npos, kws))
+
+    def unset(path, d, method):
+        params = d.args.posonlyargs + d.args.args
+        implicit = int(method)  # self or cls (src/fel has no staticmethod)
+        first = len(params) - len(d.args.defaults)
+        for i, p in enumerate(params[first:], first):
+            if not any(npos > i - implicit or p.arg in kws or None in kws for npos, kws in calls[d.name]):
+                yield os.path.basename(path), d.name, p.arg
+        for p, dflt in zip(d.args.kwonlyargs, d.args.kw_defaults):
+            if dflt is not None and not any(p.arg in kws or None in kws for _, kws in calls[d.name]):
+                yield os.path.basename(path), d.name, p.arg
+
+    found = []
+    for path, tree in trees.items():
+        if path.startswith(pkg):
+            methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+            for d in ast.walk(tree):
+                if isinstance(d, ast.FunctionDef):
+                    found += unset(path, d, id(d) in methods)
+    assert sorted(set(found) ^ _DEFAULTS_SET_ELSEWHERE) == []  # no stale allowance either

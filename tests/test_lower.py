@@ -21,7 +21,6 @@ from fel.lower import (
 from fel.precision import (
     PrecisionContext,
     isolate_sign_changes,
-    odd_poly_eval,
 )
 from oracles import modulus, poly_exp_integral, spectrum
 
@@ -155,7 +154,7 @@ def circle_kernels(reference):
     kernel = lower._circle_kernel
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(lower, "_circle_kernel", lambda bs, shift, P: built.append((bs, shift)) or kernel(bs, shift, P))
-        ctx = PrecisionContext.make(30)
+        ctx = PrecisionContext(30)
         for p in [p for _, p in reference.values()] + [LowerParams(a="1", c="0.5", b=b) for b in HOSTILE_B]:
             l1_norm(p, ctx)
     return built
@@ -196,14 +195,14 @@ def _circle_integrand(bs, shift, t):
 
 def _sign_changes(p, lo, ctx):
     """The profile's sign changes in u on (lo, 0), isolated exactly."""
-    return isolate_sign_changes(lower._odd_coeffs([Fraction(bn) for bn in p.b]), lo, 0, ctx)
+    return isolate_sign_changes(lower._odd_coeffs([Fraction(bn) for bn in p.b]), lo, ctx)
 
 
 def test_sign_partition_single_sign(ctx40):
     assert _sign_changes(CANON, -40, ctx40) == ()
     with ctx40.workprec():
         coeffs = lower._odd_coeffs(CANON.mp_values()[2])
-        assert odd_poly_eval(coeffs, -20) > 0  # profile is positive on its support
+        assert lower._horner(coeffs, 400) * -20 > 0  # profile is positive on its support
 
 
 def test_sign_partition_factored(ctx40):
@@ -255,7 +254,8 @@ def _check_signs(p, ctx):
         coeffs = lower._odd_coeffs(p.mp_values()[2])
         for u1, u2, sign in zip(edges, edges[1:], signs):
             if u2 > u1:
-                v = odd_poly_eval(coeffs, (u1 + u2) / 2)
+                u = (u1 + u2) / 2
+                v = lower._horner(coeffs, u * u) * u
                 assert sign == (v > 0) - (v < 0), (p, u1, u2)
 
 
@@ -276,7 +276,7 @@ def _check_masses(p, digits):
     # the sum of closed-form monomial integrals (oracles.poly_exp_integral)
     # at twice the digits, on the same edges and with midpoint signs: within
     # the reward's round_eps times the magnitudes of both sums' terms
-    ctx = PrecisionContext.make(digits)
+    ctx = PrecisionContext(digits)
     with ctx.workprec():
         got = lower._masses(p, ctx)
         a, c, _ = p.mp_values()
@@ -303,7 +303,8 @@ def _check_masses(p, digits):
         for u1, u2 in zip(edges, edges[1:]):
             if u2 > u1:
                 v = piece(u1, u2)
-                if odd_poly_eval(coeffs, (u1 + u2) / 2) >= 0:
+                u = (u1 + u2) / 2
+                if lower._horner(coeffs, u * u) * u >= 0:
                     want[1] += v
                 else:
                     want[2] -= v
@@ -468,6 +469,6 @@ def test_reward_below_any_upper_bound(x):
     p = LowerParams(a="0.5", c="0.5", b=(str(round(-2 + x, 6)), str(round(x, 6))))
     from fel.precision import PrecisionContext
 
-    ctx = PrecisionContext.make(30)
+    ctx = PrecisionContext(30)
     r = reward(p, "1", ctx)
     assert r.value <= 1.14731 + 1e-6

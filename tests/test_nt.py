@@ -347,8 +347,9 @@ def test_bump_properties():
 
 
 def test_prime_sum_check_zero_function():
-    rep = nt.prime_sum_check(1000, lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                             support=(0.1, 0.9), g_prime_l1=0.0)
+    g = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    g.support, g.dl1 = (0.1, 0.9), 0.0
+    rep = nt.prime_sum_check(1000, g)
     assert rep.truncated_sum == 0 and rep.truncated_integral == 0
     assert rep.tail_sum == 0 and rep.tail_integral == 0
 

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
-from fel import precision, tables, upper
+from fel import lower, precision, tables, upper
 from fel.precision import (
     ErrBounded,
     PrecisionContext,
@@ -19,20 +19,16 @@ from fel.precision import (
     integrate_fixed,
     isolate_sign_changes,
     maximize_scalar,
-    odd_poly_eval,
 )
 from oracles import poly_exp_antiderivative, poly_exp_integral
 
 
 def test_context_invariants():
-    ctx = PrecisionContext.make(40)
+    ctx = PrecisionContext(40)
     assert ctx.digits == 40
+    assert ctx.target_abs_err == 1e-30
     with pytest.raises(ValueError):
-        PrecisionContext(digits=20, target_abs_err=1e-10)
-    with pytest.raises(ValueError):
-        PrecisionContext(digits=40, target_abs_err=1e-39)  # fewer than 5 guard digits
-    with pytest.raises(ValueError):
-        PrecisionContext(digits=40, target_abs_err=-1.0)
+        PrecisionContext(20)
 
 
 def fixed_integrand(F, P):
@@ -167,7 +163,7 @@ def test_poly_exp_matches_quadrature_cubic(ctx40):
 def test_precision_doubling_stability(ctx40):
     # the integral of cos(t) e^{t/3} over [-2, 1], as 3 f(3 tau - 2) on [0, 1]
     f = lambda x: 3 * mp.cos(3 * x - 2) * mp.e ** ((3 * x - 2) / 3)
-    ctx60 = PrecisionContext(ctx40.digits + 20, ctx40.target_abs_err)
+    ctx60 = PrecisionContext(60)
 
     def integral(ctx):
         P = mp.libmp.dps_to_prec(ctx.digits) + 32
@@ -179,26 +175,34 @@ def test_precision_doubling_stability(ctx40):
 
 
 def test_isolate_sign_changes_linear(ctx40):
-    roots = isolate_sign_changes([1], -1, 1, ctx40)
-    assert len(roots) == 1 and abs(roots[0]) < 1e-29
+    # u changes sign only at 0, the end of (-1, 0)
+    assert isolate_sign_changes([1], -1, ctx40) == ()
 
 
 def test_isolate_sign_changes_cubic(ctx40):
-    # u^3 - u has sign changes at -1, 0, 1
-    roots = isolate_sign_changes([-1, 1], -2, 2, ctx40)
-    assert len(roots) == 3
-    for r, expect in zip(roots, (-1, 0, 1)):
-        assert abs(r - expect) < 1e-28
+    # u^3 - u has sign changes at -1, 0, 1; only -1 lies inside (-2, 0)
+    roots = isolate_sign_changes([-1, 1], -2, ctx40)
+    assert len(roots) == 1
+    assert abs(roots[0] + 1) < 1e-28
+
+
+def test_isolate_sign_changes_excludes_a_root_at_lo(ctx40):
+    # a root exactly at lo is not inside (lo, 0), whatever its multiplicity:
+    # u^3 - u, and u (u^2 - 1)^3 with its triple root at -1
+    for coeffs in ([-1, 1], [-1, 3, -3, 1]):
+        assert isolate_sign_changes(coeffs, -1, ctx40) == ()
+        roots = isolate_sign_changes(coeffs, Fraction(-3, 2), ctx40)
+        assert len(roots) == 1 and abs(roots[0] + 1) < 1e-28
 
 
 def test_isolate_sign_changes_rejects_zero_poly(ctx40):
     with pytest.raises(ValueError):
-        isolate_sign_changes([0, 0], -1, 1, ctx40)
+        isolate_sign_changes([0, 0], -1, ctx40)
 
 
 @st.composite
 def planted_odd_polys(draw):
-    """Coefficients of q for u * q(u^2), with ends (lo, hi).
+    """Coefficients of q for u * q(u^2), with the left end lo of (lo, 0).
 
     q has planted roots v = r^2 of multiplicity 1 to 3, each optionally with
     a partner 1e-5 to 1e-2 further out in u, a random quadratic factor
@@ -216,23 +220,22 @@ def planted_odd_polys(draw):
         q *= v**2 + sympy.Rational(draw(st.integers(-90, 90)), 10) * v + draw(st.integers(-9, 9))
     q *= v ** draw(st.integers(0, 2))
     coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(q, v).all_coeffs())]
-    lo, hi = sorted(draw(st.lists(st.integers(-35_000, 35_000), min_size=2, max_size=2, unique=True)))
-    return coeffs, Fraction(lo, 10_000), Fraction(hi, 10_000)
+    return coeffs, Fraction(draw(st.integers(-35_000, -1)), 10_000)
 
 
 @settings(max_examples=40, deadline=None)
 @given(planted_odd_polys())
 def test_isolate_sign_changes_matches_sympy(ctx40, case):
     # the sign changes are the real roots of odd multiplicity strictly inside
-    # (lo, hi), counted and located exactly by sympy
-    coeffs, lo, hi = case
+    # (lo, 0), counted and located exactly by sympy
+    coeffs, lo = case
     u = sympy.Symbol("u")
     poly = sympy.Poly(u * sum(sympy.Rational(c.numerator, c.denominator) * u ** (2 * k)
                               for k, c in enumerate(coeffs)), u)
-    lo_s, hi_s = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+    lo_s = sympy.Rational(lo.numerator, lo.denominator)
     expect = [r for r, m in sympy.real_roots(poly, multiple=False)
-              if m % 2 and lo_s < r < hi_s]
-    roots = isolate_sign_changes(coeffs, lo, hi, ctx40)
+              if m % 2 and lo_s < r < 0]
+    roots = isolate_sign_changes(coeffs, lo, ctx40)
     assert len(roots) == len(expect), (roots, expect)
     with ctx40.workprec():
         for got, r in zip(roots, expect):
@@ -242,7 +245,7 @@ def test_isolate_sign_changes_matches_sympy(ctx40, case):
 def test_isolate_sign_changes_close_pair_inside_one_old_step(ctx40):
     # -u (u^2 - 1)(u^2 - 1.00001^2): two flips 1e-5 apart on (-2.4, 0)
     r2 = Fraction("1.00001") ** 2
-    roots = isolate_sign_changes([-r2, 1 + r2, -1], Fraction("-2.4"), 0, ctx40)
+    roots = isolate_sign_changes([-r2, 1 + r2, -1], Fraction("-2.4"), ctx40)
     with ctx40.workprec():
         assert len(roots) == 2
         assert abs(roots[0] + mp.mpf("1.00001")) < 1e-29
@@ -261,9 +264,9 @@ def test_sign_correctness_sampling(ctx40):
 
     rng = random.Random(7)
     coeffs = [3, -4, 1]  # u(3 - 4u^2 + u^4) = u(u^2-1)(u^2-3)
-    roots = isolate_sign_changes(coeffs, -2, 2, ctx40)
-    assert len(roots) == 5
-    edges = [mp.mpf(-2)] + list(roots) + [mp.mpf(2)]
+    roots = isolate_sign_changes(coeffs, -2, ctx40)
+    assert len(roots) == 2  # -sqrt(3) and -1
+    edges = [mp.mpf(-2)] + list(roots) + [mp.mpf(0)]
     with ctx40.workprec():
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo < 1e-20:
@@ -271,7 +274,7 @@ def test_sign_correctness_sampling(ctx40):
             signs = set()
             for _ in range(64):
                 u = lo + (hi - lo) * mp.mpf(rng.random())
-                v = odd_poly_eval(coeffs, u)
+                v = lower._horner(coeffs, u * u) * u
                 if abs(v) > 1e-25:
                     signs.add(1 if v > 0 else -1)
             assert len(signs) <= 1
@@ -424,7 +427,7 @@ def test_maximize_matches_golden_section_oracle(digits, up, pick):
     peaks, ts = residual_peaks(up.penalty, up.knots)
     t0 = float(ts[peaks[pick % len(peaks)]])
     lo, hi = max(0.0, t0 - 2e-3), t0 + 2e-3
-    ctx = PrecisionContext.make(digits)
+    ctx = PrecisionContext(digits)
     with ctx.workprec():
         f, slope = upper._modulus_and_slope(upper._piece_table(up)[0])
     r = maximize_scalar(f, slope, t0, lo, hi, ctx)

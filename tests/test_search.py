@@ -181,7 +181,7 @@ def test_praxis_quadratic_bowl():
     r = praxis_minimize(lambda x: float(((x - 1.0) ** 2).sum()), np.zeros(3), cfg)
     assert r.fun < 1e-12
     assert np.allclose(r.x, 1.0, atol=1e-5)
-    assert not r.budget_exhausted
+    assert r.nevals < cfg.budget  # converged, not cut off
 
 
 def test_praxis_rosenbrock():
@@ -203,8 +203,7 @@ def test_praxis_deterministic():
 def test_praxis_budget_flag():
     cfg = SearchConfig(seed=1, budget=50)
     r = praxis_minimize(lambda x: float((x**2).sum()), np.ones(4) * 3, cfg)
-    assert r.budget_exhausted
-    assert r.nevals <= 50
+    assert r.nevals == cfg.budget
 
 
 def lower_references():
@@ -300,6 +299,16 @@ def test_optimize_lower_cold_start_penalty_three(ctx40):
     cfg = SearchConfig(seed=3, restarts=10, budget=60_000)
     _, bound = optimize_lower("3", 12, cfg, ctx40)
     assert float(bound.value) >= 1.05
+
+
+@pytest.mark.parametrize("budget", [1, 7, 200, 801])
+def test_optimize_lower_keeps_to_its_budget(ctx30, monkeypatch, budget):
+    # the restarts share cfg.budget: none runs past its share, whatever the split
+    calls = []
+    fast = search._fast_lower_value
+    monkeypatch.setattr(search, "_fast_lower_value", lambda *a: calls.append(a) or fast(*a))
+    optimize_lower("1", 4, SearchConfig(seed=0, restarts=8, budget=budget), ctx30)
+    assert 0 < len(calls) <= budget
 
 
 def test_optimize_upper_zero_penalty(ctx40):

@@ -300,7 +300,7 @@ def test_sup_norm_sound_random_knots(A, knots):
     # peak may sit half a step from the true maximum, where |residual| is
     # lower by at most curvature * step^2 / 8.
     up = UpperParams(penalty=A, knots=tuple(repr(k) for k in knots))
-    ctx = PrecisionContext.make(30)
+    ctx = PrecisionContext(30)
     r = sup_norm(up, ctx)
     ts = np.linspace(0.0, r.meta["t_max"], 200_001)
     t_peak = ts[int(np.argmax(np.abs(residual_np(up.penalty, up.knots, ts))))]
