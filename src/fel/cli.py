@@ -332,19 +332,11 @@ def cmd_nt(ns) -> int:
         raise _CliError("--kind must be qnr, prime-qr, ap, or prime-sum")
     if out:
         with open(out, "w") as fh:
-            summary = nt.summarize(_write_records(records, fh), kind)
+            summary = nt.summarize(records, kind, fh)
     else:
         summary = nt.summarize(records, kind)
     print(_json(summary.to_json()))
     return EXIT_OK
-
-
-def _write_records(records, fh):
-    """Pass the records through, writing each as a CSV row to ``fh``."""
-    fh.write("key,value,ratio\n")
-    for rec in records:
-        fh.write(rec.csv_row() + "\n")
-        yield rec
 
 
 @functools.cache

@@ -18,12 +18,15 @@ Quadratic symbols come from quadratic reciprocity, one Legendre table of
 the squares mod l per small prime l, applied to a whole block of primes at
 once.
 Scan ratios are computed at 30 decimal digits (103 bits, round-nearest),
-and printed to 20 digits, at the ``mpmath.libmp`` level: the ratio by
-``mpf_log`` and ``mpf_div``, its printed digits by a small integer kernel
-on the raw tuple that does the steps of ``to_str(x, 20)`` (mpmath 1.3), bit
-for bit.  The sieves of the scans and of the prime-sum check stay within
-:data:`SIEVE_BUDGET`; ranges that would need more are refused, before any
-sieving where the range tells.
+and printed to 20 digits, on raw ``mpmath.libmp`` tuples from end to end:
+the denominator by ``mpf_log``, the ratio by one integer division rounded
+half-even, as ``mpf_div`` rounds it, its printed digits by a small integer
+kernel that does the steps of ``to_str(x, 20)`` (mpmath 1.3), bit for bit,
+and the running maximum by comparing the tuples.  An ``mp.mpf`` is made
+only for the summary's JSON, and :func:`summarize` writes the CSV rows a
+few hundred at a time.  The sieves of the scans and of the prime-sum
+check stay within :data:`SIEVE_BUDGET`; ranges that would need more are
+refused, before any sieving where the range tells.
 
 The comparator constants bound limsups; no finite scan can confirm or
 refute them.  Scans therefore take an explicit key range and report
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_int, mpf_div, mpf_gt, mpf_log, mpf_mul, mpf_pow_int, mpf_sub
+from mpmath.libmp import from_float, from_int, mpf_gt, mpf_log, mpf_mul, mpf_pow_int, mpf_sub
 
 __all__ = [
     "NtRecord",
@@ -70,6 +74,11 @@ SIEVE_BUDGET = 2 * 10**8
 # comparators; see the module docstring.  For prime-qr the last prime up to
 # 1e6 above the comparator is 163 (least prime residue 41, ratio 1.580).
 DEFAULT_SCAN_FLOORS = {"qnr": 11, "prime-qr": 167, "ap": 4}
+
+# records a summary holds at once, and writes as CSV rows in one call; a few
+# thousand held ones raised the peak memory of a scan by 2-3 MB
+_ROWS_PER_WRITE = 256
+
 
 def _least_prime_with_symbol(ps: np.ndarray, want: int) -> np.ndarray:
     """For each odd prime p of ``ps``, the least prime l with (l|p) == want.
@@ -164,6 +173,10 @@ def segmented_primes(lo: int, hi: int, block: int = 8_000_000) -> Iterator[np.nd
 _LOG2_10 = math.log(10, 2)
 _FIX_BITS = int(23 * _LOG2_10) + 10
 
+# exp + bc of a raw mpf -> the (fixprec, fixdps, 10^fixdps) of _digits20;
+# the ratios of a scan take a few magnitudes
+_FIX_SCALES: dict = {}
+
 
 def _digits20(x) -> str:
     """``to_str(x, 20)`` for a positive raw mpf x below 2^3500 and above
@@ -176,12 +189,14 @@ def _digits20(x) -> str:
     (-6, 20) and with ``e+``/``e-`` otherwise, trailing zeros stripped.
     """
     _, man, exp, bc = x
-    fixprec = _FIX_BITS - exp - bc
-    if fixprec < 0:
-        fixprec = 0
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    scale = _FIX_SCALES.get(exp + bc)
+    if scale is None:
+        fixprec = max(_FIX_BITS - exp - bc, 0)
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        scale = _FIX_SCALES[exp + bc] = (fixprec, fixdps, 10**fixdps)
+    fixprec, fixdps, pow10 = scale
     shift = exp + fixprec
-    sd = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
+    sd = str((man << shift if shift >= 0 else man >> -shift) * pow10 >> fixprec)
     e = len(sd) - fixdps - 1
     d = sd[:20]
     if sd[20] >= "5":
@@ -202,52 +217,45 @@ def _digits20(x) -> str:
 
 class NtRecord(NamedTuple):
     """One scan datum: key (prime, or (a, q) pair), extremal value, and
-    ratio, an ``mp.mpf`` at 30 digits; :meth:`csv_row` prints it to 20
+    ratio, a positive raw ``mpmath.libmp`` tuple at 30 digits (wrap it in
+    ``mp.make_mpf`` to compute with it); :meth:`csv_row` prints it to 20
     digits with :func:`_digits20`."""
 
     key: object
     value: int
-    ratio: object
+    ratio: tuple
 
     def csv_row(self) -> str:
         key, value, ratio = self
         if isinstance(key, tuple):
-            return "%d mod %d,%d,%s" % (*key, value, _digits20(ratio._mpf_))
-        return "%d,%d,%s" % (key, value, _digits20(ratio._mpf_))
+            return "%d mod %d,%d,%s" % (*key, value, _digits20(ratio))
+        return "%d,%d,%s" % (key, value, _digits20(ratio))
 
 
 @dataclass
 class ScanSummary:
-    """Running max-reduction over scan records; the ratios are compared as
-    raw mpf tuples (``mpf_gt``)."""
+    """The max-reduction of a record stream (:func:`summarize`); max_ratio
+    is a raw mpf tuple, like :attr:`NtRecord.ratio`."""
 
     comparator: float
     kind: str
-    count: int = 0
-    max_ratio: object = None
-    argmax: object = None
-
-    def update(self, rec: NtRecord):
-        self.count += 1
-        if self.max_ratio is None or mpf_gt(rec.ratio._mpf_, self.max_ratio._mpf_):
-            self.max_ratio = rec.ratio
-            self.argmax = rec.key
+    count: int
+    max_ratio: tuple | None
+    argmax: object
 
     @property
     def margin(self):
         """comparator - max_ratio at 30 digits, round-nearest, from the exact
-        double of the comparator."""
+        double of the comparator, as an ``mp.mpf``."""
         if self.max_ratio is None:
             return None
-        return mp.make_mpf(
-            mpf_sub(from_float(self.comparator), self.max_ratio._mpf_, _RATIO_PREC, "n")
-        )
+        return mp.make_mpf(mpf_sub(from_float(self.comparator), self.max_ratio, _RATIO_PREC, "n"))
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "count": self.count,
-            "max_ratio": None if self.max_ratio is None else mp.nstr(self.max_ratio, 20),
+            "max_ratio": None if self.max_ratio is None else mp.nstr(mp.make_mpf(self.max_ratio), 20),
             "argmax": ("%d mod %d" % self.argmax) if isinstance(self.argmax, tuple) else self.argmax,
             "comparator": self.comparator,
             "margin": None if self.margin is None else mp.nstr(self.margin, 20),
@@ -265,9 +273,33 @@ def _log_squared(n: int, scale: int = 1):
     return mpf_pow_int(x, 2, _RATIO_PREC, "n")
 
 
-def _ratio(value: int, denom) -> mp.mpf:
-    """value / denom at 30 digits, round-nearest, for a raw mpf ``denom``."""
-    return mp.make_mpf(mpf_div(from_int(value), denom, _RATIO_PREC, "n"))
+def _ratio(value: int, denom) -> tuple:
+    """value / denom as a raw mpf at 30 digits, round-half-even, for an int
+    value >= 1 and a positive raw mpf ``denom``: the tuple that
+    ``mpf_div(from_int(value), denom, 103, "n")`` gives, from one divmod.
+
+    With man 2^exp = denom, the quotient q of value 2^s by man is taken to
+    exactly 103 bits, so q 2^-(s + exp) is value/denom truncated; twice the
+    remainder against the divisor rounds it half-even (a tie needs an even
+    divisor: man is odd, so only a right shift, s < 0, makes one), and the
+    trailing zeros are stripped as libmp normalizes.
+    """
+    _, man, exp, bc = denom
+    vb = value.bit_length()
+    s = _RATIO_PREC + bc - vb
+    if value << bc >= man << vb:  # value 2^s / man >= 2^103: one bit fewer
+        s -= 1
+    if s >= 0:
+        d = man
+        q, r = divmod(value << s, d)
+    else:
+        d = man << -s
+        q, r = divmod(value, d)
+    r += r
+    if r > d or (r == d and q & 1):
+        q += 1
+    tz = (q & -q).bit_length() - 1
+    return (0, q >> tz, tz - s - exp, q.bit_length() - tz)
 
 
 def scan(kind: str, lo: int, hi: int) -> Iterator[NtRecord]:
@@ -307,7 +339,9 @@ def _scan_primes(want: int, p_lo: int, p_hi: int) -> Iterator[NtRecord]:
     for block in segmented_primes(p_lo, p_hi + 1):
         values = _least_prime_with_symbol(block, want)
         for p, v in zip(block.tolist(), values.tolist()):
-            yield NtRecord(p, v, _ratio(v, _log_squared(p)))
+            # p is odd, so (0, p, 0, bits) is already a normalized raw mpf
+            log = mpf_log((0, p, 0, p.bit_length()), _RATIO_PREC, "n")
+            yield NtRecord(p, v, _ratio(v, mpf_pow_int(log, 2, _RATIO_PREC, "n")))
 
 
 def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
@@ -333,13 +367,27 @@ def _scan_ap(q_lo: int, q_hi: int) -> Iterator[NtRecord]:
             yield NtRecord((a, q), p, _ratio(p, denom))
 
 
-def summarize(records: Iterator[NtRecord], kind: str) -> ScanSummary:
-    """Reduce a record stream to its summary against ``COMPARATORS[kind]``
-    (order-free)."""
-    s = ScanSummary(comparator=COMPARATORS[kind], kind=kind)
-    for rec in records:
-        s.update(rec)
-    return s
+def summarize(records: Iterator[NtRecord], kind: str, out: TextIO | None = None) -> ScanSummary:
+    """Reduce a record stream to its count and the first record of largest
+    ratio, against ``COMPARATORS[kind]`` (order-free but for ties).
+
+    With a text file ``out``, also write the records to it as CSV: the
+    header ``key,value,ratio``, then one :meth:`NtRecord.csv_row` per record,
+    written :data:`_ROWS_PER_WRITE` records at a time, so no more are held.
+    """
+    count = 0
+    best = argmax = None
+    if out is not None:
+        out.write("key,value,ratio\n")
+    records = iter(records)
+    while chunk := list(islice(records, _ROWS_PER_WRITE)):
+        count += len(chunk)
+        for key, _, ratio in chunk:
+            if best is None or mpf_gt(ratio, best):
+                best, argmax = ratio, key
+        if out is not None:
+            out.write("\n".join(map(NtRecord.csv_row, chunk)) + "\n")
+    return ScanSummary(COMPARATORS[kind], kind, count, best, argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +526,23 @@ def prime_sum_check(m: int, g: Callable) -> PrimeSumReport:
         trunc += float(w[below].sum())
         tail += float(w[~below].sum())
 
-    # prime powers p^k, k >= 2: p <= sqrt(end), python loop is cheap
+    # prime powers p^k, k >= 2: p <= sqrt(end), a few thousand of them, read
+    # by one call of g and summed in the order of p, then k
+    powers = []
     for p in primes_upto(int(math.isqrt(sieve_end)) + 1).tolist():
         lp = math.log(p)
         n = p * p
         while n < sieve_end:
-            t = math.log(n) / two_pi
-            w = lp / math.sqrt(n) * float(g(np.array([t]))[0])
-            if n < m:
-                trunc += w
-                psi_m += lp
-            else:
-                tail += w
+            powers.append((lp, n))
             n *= p
+    gs = g(np.array([math.log(n) / two_pi for _, n in powers])).tolist()
+    for (lp, n), gn in zip(powers, gs):
+        w = lp / math.sqrt(n) * gn
+        if n < m:
+            trunc += w
+            psi_m += lp
+        else:
+            tail += w
     trunc /= two_pi
     tail /= two_pi
 

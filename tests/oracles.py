@@ -6,14 +6,16 @@ checked with: closed-form integrals of ``u^m e^(lam u)``, the tent profile
 of :mod:`fel.closed_form`, the lower family's profile and modulus, the upper
 family's residual with its local maxima and below-threshold certifier, the
 upper search's Nelder-Mead locals run one after another by scipy, and the
-scalar number-theory front ends with their Miller-Rabin check.  No command
-of ``fel`` calls them.
+scalar number-theory front ends with their Miller-Rabin check, and the CSV
+rows of the number-theory scans.  No command of ``fel`` calls them.
 """
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_str
 
 from fel.closed_form import _check_open_unit
 from fel.lower import LowerParams, _odd_coeffs, _profile
@@ -362,3 +364,40 @@ def least_prime_qr(p: int) -> int:
     """Least prime that is a quadratic residue modulo an odd prime."""
     _check_odd_prime(p)
     return int(_least_prime_with_symbol(np.array([p]), 1)[0])
+
+
+def scan_csv_lines(kind: str, lo: int, hi: int) -> list:
+    """The lines of the CSV that ``fel nt --kind kind --out`` writes for the
+    keys in [lo, hi], on mpmath objects at ``mp.workdps(30)`` (103 bits),
+    each ratio printed with ``to_str(x, 20)``.
+
+    qnr and prime-qr: each odd prime p and the least prime l with Euler's
+    (l|p) = -1 or +1, ratio l / log(p)^2.  ap: each coprime residue a of q
+    and the least prime p = a (mod q), ratio p / (phi(q) log q)^2; q = 1 has
+    the one class 0 mod 1 with its prime 2, divided by log(2)^2 since
+    log 1 = 0.
+    """
+    lines = ["key,value,ratio"]
+    with mp.workdps(30):
+        if kind in ("qnr", "prime-qr"):
+            want = -1 if kind == "qnr" else 1
+            for p in range(max(lo, 3), hi + 1):
+                if not is_prime_u64(p):
+                    continue
+                ell = next(l for l in range(2, p)
+                           if is_prime_u64(l) and (pow(l, (p - 1) // 2, p) == 1) == (want == 1))
+                ratio = mp.mpf(ell) / mp.log(p) ** 2
+                lines.append("%d,%d,%s" % (p, ell, to_str(ratio._mpf_, 20)))
+        elif kind == "ap":
+            for q in range(lo, hi + 1):
+                if q == 1:
+                    lines.append("0 mod 1,2,%s" % to_str((mp.mpf(2) / mp.log(2) ** 2)._mpf_, 20))
+                    continue
+                residues = [a for a in range(q) if math.gcd(a, q) == 1]
+                for a in residues:
+                    p = next(n for n in range(a, 10**9, q) if is_prime_u64(n))
+                    ratio = mp.mpf(p) / (len(residues) * mp.log(q)) ** 2
+                    lines.append("%d mod %d,%d,%s" % (a, q, p, to_str(ratio._mpf_, 20)))
+        else:
+            raise ValueError("unknown scan kind %r" % (kind,))
+    return lines

@@ -344,7 +344,7 @@ def test_criterion_8_number_theory():
     elapsed = time.time() - t0
     ok &= elapsed <= 60.0 and s.margin > 0
     details.append("qnr scan max %.4f at %d, margin %.4f (%.1fs)"
-                   % (float(s.max_ratio), s.argmax, float(s.margin), elapsed))
+                   % (float(mp.make_mpf(s.max_ratio)), s.argmax, float(s.margin), elapsed))
 
     # progression scan to q = 500 (floor 4: moduli 2 and 3 sit above the
     # asymptotic constant by an order of magnitude)
@@ -352,7 +352,7 @@ def test_criterion_8_number_theory():
     s2 = nt.summarize(nt.scan("ap", 4, 500), "ap")
     ok &= s2.margin > 0
     details.append("ap scan max %.4f at %s, margin %.4f vs 8/9 (%.1fs)"
-                   % (float(s2.max_ratio), s2.argmax, float(s2.margin), time.time() - t0))
+                   % (float(mp.make_mpf(s2.max_ratio)), s2.argmax, float(s2.margin), time.time() - t0))
 
     # prime-power sum identity residuals stay bounded
     consts = []

@@ -314,6 +314,19 @@ def test_nt_margin_digits(capsys, argv, key, value, denom):
         assert summary["margin"] == mp.nstr(ref, 20)
 
 
+@pytest.mark.parametrize("argv, kind, lo, hi", [
+    (("--kind", "qnr", "--max-p", "20000"), "qnr", 11, 20000),
+    (("--kind", "prime-qr", "--max-p", "20000"), "prime-qr", 167, 20000),
+    (("--kind", "ap", "--min-q", "1", "--max-q", "80"), "ap", 1, 80),
+], ids=["qnr", "prime-qr", "ap"])
+def test_nt_csv_equals_mpmath_rows(capsys, tmp_path, argv, kind, lo, hi):
+    # every row, ratio digits included, against the formula on mpmath objects
+    out_file = tmp_path / "recs.csv"
+    code, _, _ = run(capsys, "nt", *argv, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text().splitlines() == oracles.scan_csv_lines(kind, lo, hi)
+
+
 def test_nt_qnr_summary_is_nt_summarize(capsys):
     code, out, _ = run(capsys, "nt", "--kind", "qnr", "--max-p", "2000")
     assert code == 0

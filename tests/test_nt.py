@@ -1,10 +1,11 @@
+import io
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import from_int, from_man_exp, from_str, mpf_add, to_str
+from mpmath.libmp import from_int, from_man_exp, from_str, mpf_add, mpf_div, to_str
 
 import oracles
 from fel import nt
@@ -281,6 +282,23 @@ def test_digits20_equals_to_str(man, lead):
     assert nt._digits20(x) == to_str(x, 20)
 
 
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(min_value=1, max_value=2**200),
+       st.builds(from_man_exp, st.integers(min_value=0, max_value=2**199 - 1).map(lambda k: 2 * k + 1),
+                 st.integers(min_value=-300, max_value=300)))
+@example(15, from_int(5))  # exact quotients
+@example(7 << 150, from_man_exp(7, -10))
+@example(2**103 + 1, from_man_exp(1, 7))  # a tie, kept even
+@example(2**103 + 3, from_man_exp(1, -7))  # a tie, rounded up to even
+@example(3 * (2**103 + 1), from_man_exp(3, 1))  # ties past an odd mantissa
+@example(3 * (2**103 + 3), from_man_exp(3, 1))
+@example(2**104 - 1, from_int(1))  # rounds up into a new bit
+@example(1, from_man_exp(2**200 - 1, 300))
+@example(1, from_int(1))
+def test_ratio_is_mpf_div(value, denom):
+    assert nt._ratio(value, denom) == mpf_div(from_int(value), denom, 103, "n")
+
+
 def test_scan_qnr_small():
     recs = list(nt.scan("qnr", 3, 23))
     keys = [r.key for r in recs]
@@ -289,8 +307,8 @@ def test_scan_qnr_small():
     with mp.workdps(30):
         for p in (3, 7, 23):
             expect = mp.mpf(oracles.least_qnr(p)) / mp.log(p) ** 2
-            assert abs(by_key[p].ratio - expect) < 1e-25
-        assert float(by_key[3].ratio) == pytest.approx(2 / math.log(3) ** 2)
+            assert abs(mp.make_mpf(by_key[p].ratio) - expect) < 1e-25
+        assert float(mp.make_mpf(by_key[3].ratio)) == pytest.approx(2 / math.log(3) ** 2)
     # every recorded extremal value is prime
     assert all(oracles.is_prime_u64(r.value) for r in recs)
 
@@ -312,8 +330,23 @@ def test_scan_ap_modulus_one_at_30_digits():
     assert (rec.key, rec.value) == ((0, 1), 2)
     with mp.workdps(50):
         ref = mp.mpf(2) / mp.log(2) ** 2
-        assert abs(rec.ratio - ref) < mp.mpf(10) ** -29
+        assert abs(mp.make_mpf(rec.ratio) - ref) < mp.mpf(10) ** -29
     assert rec.csv_row() == "0 mod 1,2,4.1627379620112155957"
+
+
+@pytest.mark.parametrize("n", [0, 1, nt._ROWS_PER_WRITE, nt._ROWS_PER_WRITE + 1, 3 * nt._ROWS_PER_WRITE])
+def test_summarize_writes_every_row_across_chunks(n):
+    recs = list(nt.scan("ap", 4, 60))[:n]
+    assert len(recs) == n
+    out = io.StringIO()
+    s = nt.summarize(iter(recs), "ap", out)
+    assert out.getvalue().splitlines() == ["key,value,ratio"] + [r.csv_row() for r in recs]
+    assert s.count == n
+    if n:  # the first record of largest ratio
+        best = max(recs, key=lambda r: mp.make_mpf(r.ratio))
+        assert (s.max_ratio, s.argmax) == (best.ratio, best.key)
+    else:
+        assert (s.max_ratio, s.argmax) == (None, None)
 
 
 def test_scan_ap_small():
