@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, InvalidOperation
@@ -286,15 +287,17 @@ def cmd_plot_data(ns) -> int:
     samples = _int_option(ns, "samples", _DEFAULT_SAMPLES)
     if samples < 1:
         raise _CliError("--samples must be >= 1")
-    rng = ns.get("range") or []
+    rng = [float(x) for x in ns.get("range") or []]
+    if not all(map(math.isfinite, rng)):
+        raise _CliError("--range ends must be finite")
     rows = []
     if figure == "upper":
         up = _upper_params(ns)
-        lo, hi = (float(rng[0]), float(rng[1])) if len(rng) == 2 else (0.0, 15.0)
+        lo, hi = rng if len(rng) == 2 else (0.0, 15.0)
         header = ["t", "re", "abs"]
         rows = upper.curve_samples(up, lo, hi, samples)
     elif figure == "lower-family":
-        lo, hi = (float(rng[0]), float(rng[1])) if len(rng) == 2 else (-1.5, 0.5)
+        lo, hi = rng if len(rng) == 2 else (-1.5, 0.5)
         header = ["t"] + ["penalty_" + k.replace("/", "_") for k in tables.PENALTIES]
         ref = tables.lower_reference()
         columns = [lower.curve_samples(ref[k][1], lo, hi, samples) for k in tables.PENALTIES]

@@ -17,23 +17,24 @@ closed-form decreasing tail majorant, and a branch-and-bound grid over
 [0, t_max] (the modulus is even in t because the weight is real-valued); the
 witness maximum is then polished at full working precision by safeguarded
 Newton on the residual's closed-form first and second derivatives.  One
-working-precision kernel, the Abel form of :func:`fast_sup` on raw libmp
-values, gives the polished value and both derivatives; one table of the
+working-precision kernel, the Abel form of :func:`_abel_numerator` on raw
+libmp values, gives the polished value and both derivatives; one table of the
 pieces holds each ``e^{pi T_n}`` once, for that kernel, the curvature bound,
 the mass constant of the tail and the float-range check.  The tests hold
 that kernel to the formula above on mpmath objects (``residual`` in
 ``tests/oracles.py``).
 
-The float residual has one form, the Abel-summed one: the level rule
-(:func:`_levels`) and the Abel weights (:func:`_abel_weights`) are written
-once, generic over the number type, and serve the certificate on ``mpf``
-and the float kernels on floats.  :func:`residual_np` sums it knot by knot
-for the branch-and-bound grid and the plots; the search's sup estimate
-:func:`fast_sup` sums it as one small complex matmul per stage.  These float
-kernels import numpy themselves, when they first run: :mod:`fel.tables` and
-the commands that never touch the grid (``lower-eval``, ``bounds``) need
-only :class:`UpperParams`, and importing numpy would cost them about 0.1 s
-of start-up.
+The float residual has one form and one kernel, :func:`_abel_numerator`:
+the Abel sum on the level rule (:func:`_levels`) and the Abel weights
+(:func:`_abel_weights`), which are written once, generic over the number
+type, for the certificate on ``mpf`` and the kernel on floats.  It lays its
+points out as rows and columns and sums over knots by one small complex
+matmul per candidate: :func:`fast_sup` takes the modulus from it, the
+branch-and-bound grid and the plots the residual and its slope.  It imports
+numpy itself, when it first runs: :mod:`fel.tables` and the commands that
+never touch the grid (``lower-eval``, ``bounds``) need only
+:class:`UpperParams`, and importing numpy would cost them about 0.1 s of
+start-up.
 
 Throughout this module ``t`` is the code's frequency: the exponentials
 ``e^{(pi - 2 pi i t) T}`` above come from the transform kernel
@@ -71,7 +72,6 @@ from .precision import (
 
 __all__ = [
     "UpperParams",
-    "residual_np",
     "fast_sup",
     "sup_norm",
     "curve_samples",
@@ -177,7 +177,7 @@ def _residual_slope(table: _PieceTable):
 
     Built at the working precision current when it is built (build it
     inside ``ctx.workprec()``), round-nearest.  It takes the Abel form of
-    :func:`fast_sup`, ``residual = N / (1 - 2it)`` with
+    :func:`_abel_numerator`, ``residual = N / (1 - 2it)`` with
 
         N(t) = d_0 + sum_m d_m e^{pi T_m} e^{-i k_m t},   k_m = 2 pi T_m,
 
@@ -250,36 +250,6 @@ def _modulus_and_slope(table: _PieceTable):
     return modulus, slope
 
 
-def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
-    """The residual at the float array ``ts`` (any shape) in float64, for penalty ``A``.
-
-    ``knots`` are the knots ``T_1 < ... < T_N`` (floats, or anything
-    ``float`` accepts).  The Abel form of :func:`fast_sup` on the weights of
-    :func:`_pieces`, summed knot by knot: one complex exponential per knot
-    and a few arrays the size of ``ts``.  With ``deriv`` the result is
-    (residual, d/dt residual), the slope ``(N' + 2i residual) / (1 - 2it)``
-    from the same exponentials, ``N'`` the derivative of the numerator.
-    """
-    import numpy as np
-
-    Ts = np.array([float(k) for k in knots])
-    dc2, _, d0 = _pieces(float(A), Ts.size)
-    num = np.full(np.shape(ts), d0, dtype=complex)
-    if deriv:
-        num1 = np.zeros_like(num)
-    for w, f in zip((dc2 * np.exp(np.pi * Ts)).tolist(), (-2j * np.pi * Ts).tolist()):
-        e = np.multiply(ts, f)  # -2 pi i T_m t
-        np.exp(e, out=e)
-        e *= w
-        num += e
-        if deriv:
-            e *= f
-            num1 += e
-    z = 1 - 2j * ts
-    val = num / z
-    return (val, (num1 + 2j * val) / z) if deriv else val
-
-
 def fast_sup(A: float, knots: np.ndarray) -> float | list[float]:
     """Float estimate of the sup-norm for the upper family (search mode).
 
@@ -294,17 +264,12 @@ def fast_sup(A: float, knots: np.ndarray) -> float | list[float]:
     of one count as rows ``(K, n)``, which give a list of ``K`` floats, each
     equal to its own single call: a single call is the case ``K = 1``.
 
-    Abel summation of the residual's piece sum gives
-
-        residual(t) = (d_0 + sum_m d_m e^{pi T_m} e^{-i theta_m t}) / (1 - 2it),
-
-    with ``d_0 = 2 + 2 c_0``, ``d_m = 2 (c_m - c_{m-1})``, ``c_N = 0`` and
-    ``theta_m = 2 pi T_m``.  The ``d`` and ``|c|`` depend on ``(A, N)``
-    only and come from the cached piece table :func:`_pieces`.  Each stage
-    lays its points out as rows and columns, ``t = lo_r + j delta``, so
-    ``e^{-i theta t}`` factors into a row and a column exponential and the
-    sum over knots is one small complex matmul per candidate (:func:`_stage`).
-    ``|residual|`` is even in ``t``, so the local stages may reach below 0.
+    Each stage lays its points out as rows and columns, ``t = lo_r + j
+    delta``, and takes ``|residual|`` from the Abel sum of the module's one
+    float kernel, :func:`_abel_numerator` (:func:`_stage`), on the weights
+    of the cached piece table :func:`_pieces`, which depend on ``(A, N)``
+    only.  ``|residual|`` is even in ``t``, so the local stages may reach
+    below 0.
 
     A search makes some 10^4 calls at 1-4 knots, where numpy's per-call
     dispatch, not arithmetic, sets the cost: so a call runs only the ufuncs
@@ -379,7 +344,7 @@ def _pieces(A: float, n: int):
     """(the ``d_m``, ``|c|``, ``d_0``) of :func:`_abel_weights` as floats, for ``n`` pieces.
 
     Built once per ``(A, n)`` and read-only: every call of :func:`fast_sup`
-    and :func:`residual_np` shares them.
+    and :func:`_float_residual` shares them.
     """
     import numpy as np
 
@@ -400,18 +365,23 @@ def _columns(k: int, dtype=float):
     return out
 
 
-def _stage(d0, weights, freq, lo, delta, cols: int):
-    """(t, |residual(t)|) at ``t = lo[k, r] + j delta[k]``, ``j < cols``: one row per ``lo``.
+def _abel_numerator(d0, weights, freq, lo, offs, slope: bool):
+    """The Abel numerator ``N`` at ``t = lo[k, r] + offs[k, j]``, and ``N'`` with ``slope``.
 
-    Candidate ``k`` of a batch has its own ``weights[k]`` (the ``d_m e^{pi T_m}``
-    of :func:`fast_sup`), ``freq[k]`` (the ``-i theta_m``), rows ``lo[k]`` and
-    step ``delta[k]``.  The arithmetic runs in place on the stage's own
-    arrays, as ``d0 + E_row @ (w E_col)`` and ``|num| / sqrt(1 + (4 t) t)``
-    in that order of operations, one matmul per candidate.
+    Abel summation of the residual's piece sum gives ``residual = N / (1 - 2it)``,
+
+        N(t) = d_0 + sum_m d_m e^{pi T_m} e^{-i theta_m t},   theta_m = 2 pi T_m,
+
+    with the ``d`` of :func:`_abel_weights`.  Candidate ``k`` of a batch has
+    its own ``weights[k]`` (the ``d_m e^{pi T_m}``), ``freq[k]`` (the
+    ``-i theta_m``), rows ``lo[k]`` and column offsets ``offs[k]``.  The
+    exponential factors into a row and a column one, so ``N = d_0 + E_row @
+    (w E_col)`` is one matmul per candidate, in place and in that order of
+    operations, and ``N' = E_row @ (-i theta w E_col)`` one more.  Returns
+    ``(N,)`` or ``(N, N')``, each ``(K, rows, columns)``.
     """
     import numpy as np
 
-    offs = delta[:, None] * _columns(cols)
     row_exp = lo[:, :, None] * freq[:, None]
     np.exp(row_exp, out=row_exp)
     col_exp = freq[:, :, None] * offs[:, None]
@@ -419,6 +389,23 @@ def _stage(d0, weights, freq, lo, delta, cols: int):
     col_exp *= weights[:, :, None]
     num = row_exp @ col_exp
     num += d0
+    if not slope:
+        return (num,)
+    col_exp *= freq[:, :, None]
+    return num, row_exp @ col_exp
+
+
+def _stage(d0, weights, freq, lo, delta, cols: int):
+    """(t, |residual(t)|) at ``t = lo[k, r] + j delta[k]``, ``j < cols``: one row per ``lo``.
+
+    The arguments are those of :func:`_abel_numerator`, with the column
+    offsets ``j delta[k]``; the modulus is ``|N| / sqrt(1 + (4 t) t)``, in
+    place and in that order of operations.
+    """
+    import numpy as np
+
+    offs = delta[:, None] * _columns(cols)
+    num, = _abel_numerator(d0, weights, freq, lo, offs, False)
     t = lo[:, :, None] + offs[:, None]
     den = 4.0 * t
     den *= t
@@ -427,6 +414,24 @@ def _stage(d0, weights, freq, lo, delta, cols: int):
     out = np.abs(num)
     out /= den
     return t, out
+
+
+def _float_residual(up: UpperParams, lo, offs):
+    """(t, residual, d/dt residual) of ``up`` in float64 at ``t = lo[r] + offs[j]``.
+
+    ``(rows, columns)`` arrays from one :func:`_abel_numerator` call; the
+    slope is ``(N' + 2i residual) / (1 - 2it)``.
+    """
+    import numpy as np
+
+    Ts = np.array([[float(k) for k in up.knots]])
+    dc2, _, d0 = _pieces(float(up.penalty), Ts.shape[1])
+    freq = -2j * np.pi * Ts
+    num, num1 = _abel_numerator(d0, dc2 * np.exp(np.pi * Ts), freq, lo[None], offs[None], True)
+    t = lo[:, None] + offs
+    z = 1 - 2j * t
+    g = num[0] / z
+    return t, g, (num1[0] + 2j * g) / z
 
 
 def _mass_constant(table: _PieceTable):
@@ -473,15 +478,15 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack):
     """
     import numpy as np
 
-    A, knots = up.penalty, up.knots
     n0 = min(max(int((t_hi - t_lo) / _DEFAULT_GRID_STEP), 64), 400_000)
     h = (t_hi - t_lo) / (2 * n0)
-    mids = np.linspace(t_lo + h, t_hi - h, n0)
-    ends = np.abs(residual_np(A, knots, np.array([t_lo, t_hi])))
+    ends = np.abs(_float_residual(up, np.array([t_lo, t_hi]), np.zeros(1))[1][:, 0])
     witness_v = float(ends.max())
     witness_t = float(t_lo if ends[0] >= ends[1] else t_hi)
-    g, gd = residual_np(A, knots, mids, deriv=True)
-    finest = 2 * h
+    # the n0 starting cells in rows of 64, cut back to n0
+    first = _float_residual(up, t_lo + h + 128 * h * _columns(-(-n0 // 64)), 2 * h * _columns(64))
+    mids, g, gd = (a.ravel()[:n0] for a in first)
+    split = (2 * np.arange(_SPLIT) + 1) / _SPLIT - 1.0  # a child's offset from its parent, in h
     evals = n0
     for _ in range(_MAX_ROUNDS):
         absg = np.abs(g)
@@ -493,16 +498,12 @@ def _branch_and_bound(up, t_lo, t_hi, L2, slack):
         level = witness_v + slack
         keep = bound > level
         if not keep.any():
-            return witness_t, witness_v, level, finest, evals
-        mids = mids[keep]
-        if evals + mids.size * _SPLIT > _CELL_BUDGET:
+            return witness_t, witness_v, level, 2 * h, evals
+        if evals + int(keep.sum()) * _SPLIT > _CELL_BUDGET:
             raise Unconverged("branch-and-bound cell budget exhausted")
-        # split each kept cell into _SPLIT children
-        offs = (2 * np.arange(_SPLIT) + 1) / _SPLIT - 1.0
-        mids = (mids[:, None] + h * offs[None, :]).ravel()
+        # split each kept cell into _SPLIT children: its midpoint is a row
+        mids, g, gd = (a.ravel() for a in _float_residual(up, mids[keep], h * split))
         h /= _SPLIT
-        finest = 2 * h
-        g, gd = residual_np(A, knots, mids, deriv=True)
         evals += mids.size
     raise Unconverged("branch-and-bound did not reach the requested slack")
 
@@ -533,9 +534,7 @@ def sup_norm(up: UpperParams, ctx: PrecisionContext) -> ErrBounded:
         g0 = abs_residual(mp.mpf(0))
         t_max = _tail_cut(C, g0 * (1 - mp.mpf("1e-6")))
         t_max = max(t_max, table.knots[-1] + 1)
-        wt, wv, cert_sup, finest, cells = _branch_and_bound(
-            up, 0.0, float(t_max), float(L2), _DEFAULT_SLACK
-        )
+        wt, wv, cert_sup, finest, cells = _branch_and_bound(up, 0.0, float(t_max), float(L2), _DEFAULT_SLACK)
         # polish the witness at working precision
         half = max(finest, 1e-7)
         lo = max(0.0, wt - half)
@@ -576,5 +575,5 @@ def curve_samples(up: UpperParams, t_lo: float, t_hi: float, samples: int):
         raise ValueError("need at least one sample")
     _piece_table(up)  # the range check alone
     ts = np.linspace(t_lo, t_hi, samples)
-    g = residual_np(up.penalty, up.knots, ts)
-    return [(float(t), float(z.real), float(abs(z))) for t, z in zip(ts, g)]
+    _, g, _ = _float_residual(up, ts, np.zeros(1))
+    return [(float(t), float(z.real), float(abs(z))) for t, z in zip(ts, g[:, 0])]

@@ -4,10 +4,11 @@ Each is the plain formula on mpmath objects (or a scalar front end) that a
 production kernel of ``fel`` is held to, or that a published criterion is
 checked with: closed-form integrals of ``u^m e^(lam u)``, the tent profile
 of :mod:`fel.closed_form`, the lower family's profile and modulus, the upper
-family's residual with its local maxima and below-threshold certifier, the
-upper search's Nelder-Mead locals run one after another by scipy, and the
-scalar number-theory front ends with their Miller-Rabin check, and the CSV
-rows of the number-theory scans.  No command of ``fel`` calls them.
+family's residual, its knot-by-knot float form, its local maxima and its
+below-threshold certifier, the upper search's Nelder-Mead locals run one
+after another by scipy, and the scalar number-theory front ends with their
+Miller-Rabin check, and the CSV rows of the number-theory scans.  No
+command of ``fel`` calls them.
 """
 
 import math
@@ -22,8 +23,8 @@ from fel.lower import LowerParams, _odd_coeffs, _profile
 from fel.nt import _least_prime_with_symbol
 from fel.precision import PrecisionContext, Unconverged, maximize_scalar
 from fel.search import _knots_of_gaps
-from fel.upper import (UpperParams, _branch_and_bound, _modulus_and_slope, _piece_table, _tail_cut, fast_sup,
-                       residual_np)
+from fel.upper import (UpperParams, _branch_and_bound, _modulus_and_slope, _piece_table, _pieces, _tail_cut,
+                       fast_sup)
 
 
 _CTX30 = PrecisionContext(30)  # the tent oracles' default precision
@@ -210,6 +211,36 @@ def residual(up: UpperParams, t):
             val -= 2 * cn * (e1 - e0) / d
         e0 = e1
     return val
+
+
+def residual_np(A, knots, ts: np.ndarray, deriv: bool = False):
+    """The residual at the float array ``ts`` (any shape) in float64, for penalty ``A``.
+
+    ``knots`` are the knots ``T_1 < ... < T_N`` (floats, or anything
+    ``float`` accepts).  The Abel form of :func:`fast_sup` on the weights of
+    :func:`_pieces`, summed knot by knot: one complex exponential per knot
+    and a few arrays the size of ``ts``.  With ``deriv`` the result is
+    (residual, d/dt residual), the slope ``(N' + 2i residual) / (1 - 2it)``
+    from the same exponentials, ``N'`` the derivative of the numerator.
+    """
+    import numpy as np
+
+    Ts = np.array([float(k) for k in knots])
+    dc2, _, d0 = _pieces(float(A), Ts.size)
+    num = np.full(np.shape(ts), d0, dtype=complex)
+    if deriv:
+        num1 = np.zeros_like(num)
+    for w, f in zip((dc2 * np.exp(np.pi * Ts)).tolist(), (-2j * np.pi * Ts).tolist()):
+        e = np.multiply(ts, f)  # -2 pi i T_m t
+        np.exp(e, out=e)
+        e *= w
+        num += e
+        if deriv:
+            e *= f
+            num1 += e
+    z = 1 - 2j * ts
+    val = num / z
+    return (val, (num1 + 2j * val) / z) if deriv else val
 
 
 def certify_below(up: UpperParams, t_lo: float, threshold: float, ctx: PrecisionContext):

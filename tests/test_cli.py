@@ -22,7 +22,7 @@ import oracles
 from fel import cli, lower, nt, tables, upper
 from fel.lower import LowerParams
 from fel.precision import ErrBounded, Unconverged
-from fel.upper import UpperParams, residual_np
+from fel.upper import UpperParams
 
 
 def run(capsys, *argv):
@@ -279,6 +279,17 @@ def test_plot_data_zero_samples(capsys):
 
 
 @pytest.mark.parametrize("figure", [("upper", "--A", "1"), ("lower-family",)])
+@pytest.mark.parametrize("ends", [("nan", "1"), ("0", "inf"), ("inf", "nan")])
+def test_plot_data_non_finite_range_is_refused(capsys, figure, ends):
+    # a NaN or infinite end is a domain error, not a file of nan rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "plot-data", "--figure", *figure, "--range", *ends, "--samples", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --range")
+
+
+@pytest.mark.parametrize("figure", [("upper", "--A", "1"), ("lower-family",)])
 def test_plot_data_default_samples(capsys, figure):
     code, out, _ = run(capsys, "plot-data", "--figure", *figure)
     assert code == 0
@@ -426,7 +437,7 @@ def test_upper_eval_hostile_knots(tmp_path_factory, A, gaps, jump):
         value, radius = mp.mpf(rep["value"]), mp.mpf(rep["err"])
         assert mp.isfinite(value) and mp.isfinite(radius)
         ts = np.linspace(0.0, rep["meta"]["t_max"], 20_001)
-        t_peak = ts[int(np.argmax(np.abs(residual_np(A, knots, ts))))]
+        t_peak = ts[int(np.argmax(np.abs(oracles.residual_np(A, knots, ts))))]
         for t in (mp.mpf(0), mp.mpf(rep["meta"]["witness_t"]), mp.mpf(t_peak)):
             assert _spot_abs_residual(A, knots, t) <= value + radius, t
 

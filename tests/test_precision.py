@@ -20,7 +20,7 @@ from fel.precision import (
     isolate_sign_changes,
     maximize_scalar,
 )
-from oracles import poly_exp_antiderivative, poly_exp_integral
+from oracles import poly_exp_antiderivative, poly_exp_integral, residual_np
 
 
 def test_context_invariants():
@@ -403,7 +403,7 @@ def test_maximize_convex_start_at_a_stationary_point(ctx40):
 def residual_peaks(A, knots):
     """Grid local maxima of |residual| on [0, 6], t = 0 included when it wins."""
     ts = np.linspace(0.0, 6.0, 6001)
-    v = np.abs(upper.residual_np(A, knots, ts))
+    v = np.abs(residual_np(A, knots, ts))
     idx = list(np.where((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))[0] + 1)
     return [0] * bool(v[0] >= v[1]) + idx, ts
 

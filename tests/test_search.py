@@ -18,8 +18,8 @@ from fel.search import (
     optimize_upper,
     praxis_minimize,
 )
-from fel.upper import fast_sup, residual_np
-from oracles import locals_in_sequence
+from fel.upper import fast_sup
+from oracles import locals_in_sequence, residual_np
 
 
 def fast_sup_oracle(A, knots):

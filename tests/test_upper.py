@@ -12,14 +12,16 @@ from fel import cli, tables, upper
 from fel.precision import PrecisionContext
 from fel.upper import (
     UpperParams,
+    _abel_numerator,
     _curvature_bound,
+    _float_residual,
     _piece_table,
+    _pieces,
     _residual_slope,
     curve_samples,
-    residual_np,
     sup_norm,
 )
-from oracles import certify_below, local_maxima, poly_exp_integral, residual
+from oracles import certify_below, local_maxima, poly_exp_integral, residual, residual_np
 
 PSI0 = UpperParams(penalty=Fraction(0), knots=())
 
@@ -179,19 +181,26 @@ def test_residual_closed_form_vs_quadrature(ctx40, reference):
     st.fractions(min_value=0, max_value=10, max_denominator=64),
     st.lists(st.floats(min_value=0.01, max_value=3.0), max_size=4).map(lambda gaps: np.cumsum(gaps).tolist()),
     st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=-2.0, max_value=2.0),
 )
-def test_residual_np_matches_mpmath(A, knots, t):
+def test_float_residual_matches_mpmath(A, knots, row, offset):
     # the float kernel against the mpmath residual and its numerical derivative,
     # to float accuracy relative to the size of the weight's terms, on the
-    # knots of test_upper_eval_hostile_knots (up to four gaps of up to 3)
+    # knots of test_upper_eval_hostile_knots (up to four gaps of up to 3); t
+    # is a row plus a column offset, so the factored exponential is under test
     up = UpperParams(penalty=A, knots=tuple(knots))
-    val, der = residual_np(A, knots, np.array([t]), deriv=True)
-    assert residual_np(A, knots, np.array([t]))[0] == val[0]
+    ts, val, der = (a[0, 0] for a in _float_residual(up, np.array([row]), np.array([offset])))
+    assert ts == row + offset
+    # the slope switch leaves N as it is
+    dc2, _, d0 = _pieces(float(A), len(knots))
+    Ts = np.array([knots], dtype=float)
+    args = (d0, dc2 * np.exp(np.pi * Ts), -2j * np.pi * Ts, np.array([[row]]), np.array([[offset]]))
+    assert _abel_numerator(*args, False)[0] == _abel_numerator(*args, True)[0]
     scale = 2 + 2 * (float(A) + 1) * sum(np.exp(np.pi * k) for k in knots)
     with mp.workdps(30):
-        assert abs(complex(residual(up, t)) - val[0]) <= 1e-13 * scale
-        d = complex(mp.diff(lambda s: residual(up, s), mp.mpf(t)))
-        assert abs(d - der[0]) <= 1e-13 * scale * 2 * np.pi * (1 + max(knots, default=0))
+        assert abs(complex(residual(up, ts)) - val) <= 1e-13 * scale
+        d = complex(mp.diff(lambda s: residual(up, s), mp.mpf(ts)))
+        assert abs(d - der) <= 1e-13 * scale * 2 * np.pi * (1 + max(knots, default=0))
 
 
 def test_tail_majorant_psi_zero(ctx40):
@@ -248,6 +257,11 @@ PINNED_UPPER = {
 }
 
 
+# the grid's work at 40 digits: cell midpoints evaluated and the polished witness
+PINNED_GRID = {"1/4": (2268, "0.0"), "1/3": (2556, "0.0"), "1/2": (2387, "1.60277523485"),
+               "1": (4903, "0.0"), "3": (10194, "0.0")}
+
+
 def test_sup_norm_pinned_digits(ctx40, certified):
     for key, (printed, err, value, upper_bound) in PINNED_UPPER.items():
         r = certified[key]
@@ -255,7 +269,7 @@ def test_sup_norm_pinned_digits(ctx40, certified):
         assert (j["value"], j["err"], j["certified_upper_bound"]) == (printed, err, upper_bound), key
         with ctx40.workprec():
             assert mp.nstr(r.value, 25) == value, key
-        assert r.meta["cells"] > 0, key
+        assert (r.meta["cells"], r.meta["witness_t"]) == PINNED_GRID[key], key
 
 
 # evaluations of |residual| and of its slope by the witness polish of
